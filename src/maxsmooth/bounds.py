@@ -3,6 +3,7 @@ gamma(d) computed by dynamic programming with certificate recovery, an
 exhaustive enumeration oracle, the transcendental constant behind the
 asymptotic slope, and the logarithmic sandwich bounds."""
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -10,8 +11,6 @@ import math
 
 import numpy as np
 
-# Switch the DP to the pruned inner window above this dimension.
-PRUNE_THRESHOLD = 32768
 BRUTEFORCE_MAX_D = 22
 BRUTEFORCE_EXACT_MAX_D = 12
 
@@ -43,57 +42,100 @@ def partition_sum(indices) -> float:
     return float(sum(((b - a) / b) ** 2 for a, b in zip(idx, idx[1:])))
 
 
-def gamma_table(d: int, pruned: bool = False):
+def gamma_table(d: int):
     """DP table for the partition recurrence up to d.
 
-    Returns (values, predecessors) arrays indexed 0..d; values[m] is the
-    maximal partition sum from 1 to m, predecessors give the argmax with
-    ties broken toward the smallest index.  The pruned variant restricts
-    the inner search to a window of half-width m^(2/3) around beta*m and
-    widens whenever the argmax lands on a window edge, so a maximizer
-    escaping the heuristic window is always chased down.
+    Returns (values, predecessors), float64 and int64 arrays indexed 0..d:
+    values[m] = max over 1 <= i < m of values[i] + ((m - i) / m)^2 is the
+    maximal partition sum from 1 to m, and predecessors[m] is the smallest
+    maximizing i.  O(d log d) time and O(d) memory.
+
+    Only i <= ceil(m/2) can be needed.  Take a chain to m whose last point
+    before m lies above ceil(m/2), and split it at its last point
+    p <= ceil(m/2); its next point x1 then lies above m/2.  Every later
+    link has ratio above 1/2 and their total log-ratio ln(m/x1) is below
+    ln 2.  h(s) = (1 - e^-s)^2 is convex on [0, ln 2] with h(0) = 0, so those
+    links sum to at most the single link x1 -> m, and the chain is worth
+    at most g[p] + psi(x1/m) with psi(c) = (1 - a/c)^2 + (1 - c)^2, a = p/m.
+    psi'(c) = 2P(c)/c^3 with P(c) = c^4 - c^3 + ac - a^2; P' is increasing
+    on [1/2, 1], P(1/2) = -(a - 1/4)^2 <= 0 and P(1) = a(1 - a) > 0, so psi
+    falls, then rises there, and its maximum over [ceil(m/2)/m, 1] is at an
+    endpoint: the chain p -> q = ceil(m/2) -> m, which q reaches because
+    g[q] >= g[p] + ((q - p)/q)^2, or the direct link p -> m.  Either one
+    ends with a link from a point <= ceil(m/2).
+
+    On that range the choice of i is monotone: for i < j <= ceil(m/2),
+    i + j <= m and d/dm [w(j, m) - w(i, m)] = 2(j - i)(m - i - j)/m^3 >= 0
+    for w(i, m) = (1 - i/m)^2, so once j overtakes i it stays ahead.
+    Candidate j enters at m = 2j - 1 and a queue keeps, for each live
+    candidate, the first m at which it is the argmax, found by a doubling
+    then binary search when it enters.  A later candidate takes over only
+    when strictly better, which keeps the smallest-index tie rule.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    g = np.zeros(d + 1)
-    pred = np.zeros(d + 1, dtype=np.int64)
-    idx = np.arange(0, d + 1, dtype=np.float64)
-    beta = beta_root(1e-10).beta if pruned else 0.0
+    g = array("d", [0.0]) * (d + 1)
+    pred = array("q", [0]) * (d + 1)
+    # live candidates q[head:tail:2], each followed by the m from which it
+    # is the argmax
+    q = array("q", [0]) * (d + 3)
+    q[0], head, tail = 1, 0, 2
     for m in range(2, d + 1):
-        if pruned:
-            w = int(m ** (2.0 / 3.0)) + 1
-            center = int(beta * m)
-            lo, hi = max(1, center - w), min(m - 1, center + w)
-        else:
-            lo, hi = 1, m - 1
-        while True:
-            t = (m - idx[lo:hi + 1]) / m
-            vals = g[lo:hi + 1] + t * t
-            k = int(np.argmax(vals))
-            i_star = lo + k
-            if pruned and ((i_star == lo and lo > 1)
-                           or (i_star == hi and hi < m - 1)):
-                lo, hi = max(1, lo - 2 * w), min(m - 1, hi + 2 * w)
-                w *= 2
-                continue
-            break
-        g[m] = vals[k]
-        pred[m] = i_star
-    return g, pred
+        if m & 1:
+            j = (m + 1) >> 1
+            gj = g[j]
+            while head < tail:
+                i = q[tail - 2]
+                gi = g[i]
+                lo = max(q[tail - 1], m)
+                t, u = (lo - j) / lo, (lo - i) / lo
+                if gj + t * t > gi + u * u:
+                    tail -= 2  # j beats i over all of i's range
+                    continue
+                # first x in (lo, d] at which j beats i: double the step
+                # until j is ahead at hi, then bisect (j is behind at lo)
+                step, hi = 1, lo + 1
+                while hi < d:
+                    t, u = (hi - j) / hi, (hi - i) / hi
+                    if gj + t * t > gi + u * u:
+                        break
+                    lo, step = hi, 2 * step
+                    hi = lo + step
+                else:
+                    hi = d
+                    t, u = (d - j) / d, (d - i) / d
+                    if not gj + t * t > gi + u * u:
+                        break  # j never leads up to d
+                while hi - lo > 1:
+                    x = (lo + hi) >> 1
+                    t, u = (x - j) / x, (x - i) / x
+                    if gj + t * t > gi + u * u:
+                        hi = x
+                    else:
+                        lo = x
+                q[tail], q[tail + 1] = j, hi
+                tail += 2
+                break
+            else:
+                q[tail], q[tail + 1] = j, m
+                tail += 2
+        while tail - head > 2 and q[head + 3] <= m:
+            head += 2
+        i = q[head]
+        t = (m - i) / m
+        g[m] = g[i] + t * t
+        pred[m] = i
+    return np.frombuffer(g, dtype=np.float64), np.frombuffer(pred, dtype=np.int64)
 
 
-def gamma(d: int, pruned=None) -> PartitionCertificate:
+def gamma(d: int) -> PartitionCertificate:
     """Maximal partition sum from 1 to d with an optimal chain.
 
-    O(d^2) time, O(d) memory.  pruned=None selects the windowed search
-    automatically for d above PRUNE_THRESHOLD; pass pruned=False to force
-    the exhaustive inner loop.
+    O(d log d) time, O(d) memory.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if pruned is None:
-        pruned = d > PRUNE_THRESHOLD
-    g, pred = gamma_table(d, pruned=pruned)
+    g, pred = gamma_table(d)
     chain = [d]
     while chain[-1] != 1:
         chain.append(int(pred[chain[-1]]))

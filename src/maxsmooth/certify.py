@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .bounds import gamma
 from .core import sigma_max, structured_point
 from .smoothings import (
     SmoothingKind,
@@ -421,8 +422,6 @@ def telescoping_certificate(kind: SmoothingKind, cfg: SamplerConfig,
     budget (the block weights converge at rate 1/alpha).  The sum must
     also come out near the maximal partition value itself.
     """
-    from .bounds import gamma  # local import avoids a module cycle
-
     cert = gamma(kind.d)
     total = telescoping_sum(kind, cert.indices, alpha)
     gap_est = empirical_gap(kind, alpha, cfg).details["estimate"]

@@ -327,42 +327,51 @@ def load_problem(source, validate: bool = True) -> MaxOfSmoothProblem:
     else:
         with open(source) as fh:
             raw = json.load(fh)
+
+    def finite(key, value):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{key} must be finite")
+        return value
+
+    def opt_vec(key):
+        if raw.get(key) is None:
+            return None
+        v = finite(key, np.asarray(raw[key], dtype=np.float64))
+        if v.shape != (n,):
+            raise ValueError(f"{key!r} must have length {n}")
+        return v
+
     try:
         n = int(raw["n"])
-        L = float(raw["L"])
-        M = float(raw["M"])
+        L = finite("L", float(raw["L"]))
+        M = finite("M", float(raw["M"]))
         comps = []
-        for entry in raw["components"]:
-            a = np.asarray(entry["a"], dtype=np.float64)
+        for k, entry in enumerate(raw["components"]):
+            a = finite(f"components[{k}].a",
+                       np.asarray(entry["a"], dtype=np.float64))
             if a.shape != (n,):
                 raise KeyError(f"component 'a' must have length {n}")
-            b = float(entry["b"])
+            b = finite(f"components[{k}].b", float(entry["b"]))
             if entry["type"] == "affine":
                 comps.append(AffineComponent(a=a, b=b))
             elif entry["type"] == "quadratic":
-                H = np.asarray(entry["H"], dtype=np.float64)
+                H = finite(f"components[{k}].H",
+                           np.asarray(entry["H"], dtype=np.float64))
                 if H.shape != (n, n):
                     raise KeyError(f"component 'H' must be {n}x{n}")
                 comps.append(QuadraticComponent(H=H, a=a, b=b))
             else:
                 raise KeyError(f"unknown component type {entry['type']!r}")
+        optimal_value = (None if raw.get("optimal_value") is None
+                         else finite("optimal_value", float(raw["optimal_value"])))
+        reference_point = opt_vec("reference_point")
+        y0 = opt_vec("y0")
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemSchemaError(f"bad problem schema: {exc}") from exc
 
-    def opt_vec(key):
-        if raw.get(key) is None:
-            return None
-        v = np.asarray(raw[key], dtype=np.float64)
-        if v.shape != (n,):
-            raise ProblemSchemaError(f"{key!r} must have length {n}")
-        return v
-
     problem = MaxOfSmoothProblem(
-        components=comps, n=n, L=L, M=M,
-        optimal_value=None if raw.get("optimal_value") is None
-        else float(raw["optimal_value"]),
-        reference_point=opt_vec("reference_point"),
-        y0=opt_vec("y0"),
+        components=comps, n=n, L=L, M=M, optimal_value=optimal_value,
+        reference_point=reference_point, y0=y0,
         name=str(raw.get("name", "")),
     )
     if validate:

@@ -31,6 +31,33 @@ def enumerate_chains_directly(d):
     return best
 
 
+def gamma_table_rescan(d):
+    """Reference O(d^2) DP: every m rescans all 1 <= i < m."""
+    g = np.zeros(d + 1)
+    pred = np.zeros(d + 1, dtype=np.int64)
+    idx = np.arange(0, d + 1, dtype=np.float64)
+    for m in range(2, d + 1):
+        t = (m - idx[1:m]) / m
+        vals = g[1:m] + t * t
+        k = int(np.argmax(vals))
+        g[m] = vals[k]
+        pred[m] = 1 + k
+    return g, pred
+
+
+def rescan_row(g, m):
+    """Maximum and smallest argmax of g[i] + ((m - i)/m)^2 over 1 <= i < m."""
+    t = (m - np.arange(1, m, dtype=np.float64)) / m
+    vals = g[1:m] + t * t
+    k = int(np.argmax(vals))
+    return vals[k], 1 + k
+
+
+@pytest.fixture(scope="module")
+def table_1e6():
+    return gamma_table(10**6)
+
+
 class TestGamma:
     def test_base_case(self):
         cert = gamma(1)
@@ -86,17 +113,43 @@ class TestGamma:
             assert two_term_lower(d) <= val + 1e-15
             assert val <= 0.5 * math.log(d) + 1e-15
 
-    def test_pruned_matches_unpruned(self):
-        for d in (50, 500, 5000, 20_000):
-            gu, pu = gamma_table(d, pruned=False)
-            gp, pp = gamma_table(d, pruned=True)
-            assert np.array_equal(gu, gp)
-            assert np.array_equal(pu, pp)
+    @pytest.mark.parametrize("d", [*range(1, 41), 777, 3000, 20_000])
+    def test_matches_full_rescan_bitwise(self, d):
+        g, pred = gamma_table(d)
+        ref_g, ref_pred = gamma_table_rescan(d)
+        assert g.dtype == np.float64 and pred.dtype == np.int64
+        assert np.array_equal(g, ref_g)
+        assert np.array_equal(pred, ref_pred)
 
-    def test_auto_mode_picks_pruned_above_threshold(self):
-        cert = gamma(40_000)  # pruned automatically; sanity via sandwich
-        lower, upper = asymptotic_sandwich(40_000)
-        assert lower - 1e-9 <= cert.value <= upper + 1e-9
+    @pytest.mark.parametrize("m", [497963, 562704])
+    def test_large_rows_match_rescan(self, table_1e6, m):
+        # rows where a windowed inner search misses the maximizer
+        g, pred = table_1e6
+        best, arg = rescan_row(g, m)
+        assert g[m] == best
+        assert pred[m] == arg
+
+    def test_bellman_residual_at_1e6(self, table_1e6):
+        g, _ = table_1e6
+        rng = np.random.default_rng(20251210)
+        rows = [*rng.integers(2, 10**6 + 1, size=200), 568216, 10**6]
+        worst = max(rescan_row(g, int(m))[0] - g[m] for m in rows)
+        assert worst <= 1e-12
+
+    def test_late_links_never_beat_an_early_predecessor(self):
+        # For every p <= q0 = ceil(m/2), a two-link chain p -> x -> m with
+        # x > q0 is no better than the best p -> q -> m with p <= q <= q0
+        # (q = p is the direct link).  This is the endpoint step of the
+        # argument restricting predecessors to i <= ceil(m/2).
+        for m in range(2, 300):
+            q0 = (m + 1) // 2
+            p = np.arange(1, q0 + 1, dtype=np.float64)[:, None]
+            x = np.arange(q0 + 1, m + 1, dtype=np.float64)[None, :]
+            q = np.arange(1, q0 + 1, dtype=np.float64)[None, :]
+            late = ((x - p) / x) ** 2 + ((m - x) / m) ** 2
+            early = np.where(q >= p, ((q - p) / q) ** 2 + ((m - q) / m) ** 2,
+                             -np.inf)
+            assert np.all(late.max(axis=1) <= early.max(axis=1)), m
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,15 @@ class TestGammaCommand:
         assert float(rows[0]["two_term_lower"]) == 0.25
         assert float(rows[1]["half_log_d"]) == pytest.approx(0.5 * math.log(3))
 
+    def test_large_dimension_finds_the_optimal_chain(self, capsys):
+        # a windowed inner search returns ...-36856-135473-497963 here,
+        # worth 5.338012115857391
+        code, out, _ = run_cli(capsys, "gamma", "--dims", "497963")
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert float(row["gamma"]) == 5.338012116148873
+        assert row["partition"].endswith("-36849-135460-497963")
+
     def test_sandwich_columns_contain_gamma(self, capsys):
         code, out, _ = run_cli(capsys, "gamma", "--dims", "100")
         row = parse_csv(out)[0]
@@ -162,6 +171,15 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", "--problem", str(bad))
         assert code == 2
         assert "error" in err
+
+    def test_non_finite_coefficient_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps({"n": 1, "L": 0.0, "M": 1.0, "components": [
+            {"type": "affine", "a": [math.nan], "b": 0.0}]}))
+        code, out, err = run_cli(capsys, "solve", "--problem", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad problem schema: ")
+        assert "components[0].a must be finite" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--problem", "/no/such.json")

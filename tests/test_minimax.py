@@ -88,6 +88,25 @@ class TestProblemLoading:
             load_problem({"n": 1, "components": [
                 {"type": "affine", "a": [1.0], "b": 0.0}]})  # missing L, M
 
+    @pytest.mark.parametrize("field", [
+        "L", "M", "a", "b", "H", "optimal_value", "reference_point", "y0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_numbers_rejected(self, field, bad):
+        raw = {"n": 2, "L": 2.0, "M": 5.0, "optimal_value": 0.0,
+               "reference_point": [0.0, 0.0], "y0": [1.0, 1.0],
+               "components": [{"type": "quadratic", "H": [[2.0, 0.0], [0.0, 1.0]],
+                               "a": [1.0, 0.0], "b": 0.0}]}
+        load_problem(raw)  # the clean instance loads
+        target = raw["components"][0] if field in ("a", "b", "H") else raw
+        if field == "H":
+            target["H"][1][0] = bad
+        elif isinstance(target[field], list):
+            target[field][1] = bad
+        else:
+            target[field] = bad
+        with pytest.raises(ProblemSchemaError, match=f"{field} must be finite"):
+            load_problem(raw)
+
     def test_gradient_validation_catches_corruption(self):
         class Broken:
             def value_grad(self, y):
