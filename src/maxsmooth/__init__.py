@@ -44,7 +44,6 @@ from .minimax import (
     solve_subgradient,
 )
 from .regret import (
-    Regularizer,
     RegretTrace,
     ftrl_weights,
     regret_bound,
@@ -57,9 +56,7 @@ from .smoothings import (
     c_constant,
     deviation_interval,
     gap_bound,
-    lse_value_grad,
     max_deviation,
-    quad_value_grad,
     value_grad,
     value_grad_many,
 )

@@ -37,24 +37,6 @@ def thread_count() -> int:
         return 1
 
 
-def parse_kind(text: str, d: int) -> SmoothingKind:
-    """Parse lse | clse | quad | quadc:<c> into a SmoothingKind."""
-    if text == "lse":
-        return SmoothingKind.lse(d)
-    if text == "clse":
-        return SmoothingKind.centered_lse(d)
-    if text == "quad":
-        return SmoothingKind.quadratic(d)
-    if text.startswith("quadc:"):
-        try:
-            c = float(text.split(":", 1)[1])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad quadratic weight in {text!r}")
-        return SmoothingKind.quadratic_custom(d, c)
-    raise argparse.ArgumentTypeError(
-        f"kind must be lse, clse, quad, or quadc:<c>, got {text!r}")
-
-
 def _emit_table(rows, columns, fmt, out):
     """Write dict rows as CSV or JSON with fixed column order."""
     if fmt == "json":
@@ -110,7 +92,7 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kind = parse_kind(args.kind, args.dim)
+    kind = SmoothingKind.parse(args.kind, args.dim)
     reports = certify.run_certificate_suite(
         kind, seed=args.seed, count=args.count, tol=args.tol)
     if args.format == "json":
@@ -131,7 +113,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    kind = parse_kind(args.kind, args.dim)
+    kind = SmoothingKind.parse(args.kind, args.dim)
     cfg = certify.SamplerConfig(seed=args.seed, count=args.count)
     report = certify.empirical_gap(kind, args.alpha_max, cfg, tol=args.tol)
     rows = [{
@@ -152,7 +134,7 @@ def cmd_solve(args) -> int:
     except (OSError, json.JSONDecodeError, minimax.ProblemSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    kind = parse_kind(args.kind, problem.d)
+    kind = SmoothingKind.parse(args.kind, problem.d)
     trace = minimax.solve_smoothed(problem, args.eps, kind,
                                    budget_factor=args.budget_factor,
                                    max_iter=args.max_iter)
@@ -170,6 +152,8 @@ def cmd_solve(args) -> int:
         "stop_reason": trace.stop_reason,
     }
     print(json.dumps(summary, indent=2, default=_fmt))
+    if trace.stop_reason == "diverged":
+        return 1
     if problem.optimal_value is not None:
         return 0 if trace.stop_reason == "target_reached" else 1
     return 0
@@ -177,13 +161,13 @@ def cmd_solve(args) -> int:
 
 def cmd_regret(args) -> int:
     if args.reg == "entropy":
-        reg = regret.Regularizer.entropy(args.dim)
+        kind = SmoothingKind.lse(args.dim)
     else:
-        reg = regret.Regularizer.scaled_quadratic(args.dim)
+        kind = SmoothingKind.quadratic(args.dim)
     seeds = list(range(args.seed, args.seed + args.seeds))
 
     def play(s):
-        return regret.run_coinflip_game(args.dim, args.horizon, s, reg=reg,
+        return regret.run_coinflip_game(args.dim, args.horizon, s, kind=kind,
                                         eta=args.eta)
 
     workers = thread_count()
@@ -194,7 +178,7 @@ def cmd_regret(args) -> int:
         traces = [play(s) for s in seeds]
     if args.trace:
         traces[0].to_csv(args.trace)
-    bound = regret.regret_bound(reg, args.horizon)
+    bound = regret.regret_bound(kind, args.horizon)
     rows = [{"seed": t.seed, "regret": t.final_regret, "bound": bound}
             for t in traces]
     _emit_table(rows, ["seed", "regret", "bound"], args.format, args.out)

@@ -14,7 +14,13 @@ import math
 
 import numpy as np
 
-from .smoothings import SmoothingKind, center_offset, gap_bound, value_grad
+from .smoothings import (
+    SmoothingKind,
+    center_offset,
+    gap_bound,
+    value_grad,
+    value_grad_many,
+)
 
 
 class ProblemSchemaError(ValueError):
@@ -190,7 +196,8 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
     t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2.  Stops as soon as the best true
     objective seen is within eps of the problem's known optimum, or after
     budget_factor times the a-priori budget (measured from the reference
-    point) when an optimum is recorded, or after max_iter.
+    point) when an optimum is recorded, or after max_iter.  A non-finite
+    iterate, objective or smoothed value stops it as "diverged".
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -234,8 +241,8 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
     for k in range(1, cap + 1):
         vals, jac = p.eval_all(v)
         calls += 1
-        ev = value_grad(kind, s * vals)
-        grad = jac.T @ ev.gradient
+        _, G = value_grad_many(kind, (s * vals)[None, :])
+        grad = jac.T @ G[0]
         obj_v = float(vals.max())
         if obj_v < best:
             best, best_point = obj_v, v.copy()
@@ -246,9 +253,11 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
         obj_x = float(vals_x.max())
         if obj_x < best:
             best, best_point = obj_x, x_new.copy()
-        smooth_x = (value_grad(kind, s * vals_x).value - offset) / s
+        sv_x, _ = value_grad_many(kind, (s * vals_x)[None, :])
+        smooth_x = (float(sv_x[0]) - offset) / s
 
-        if not (np.isfinite(obj_x) and np.all(np.isfinite(x_new))):
+        if not (np.isfinite(obj_x) and np.isfinite(smooth_x)
+                and np.all(np.isfinite(x_new))):
             trace.rows.append((k, obj_x, smooth_x, float(np.linalg.norm(grad)),
                                best, calls))
             trace.stop_reason = "diverged"

@@ -1,5 +1,7 @@
 """Follow-the-regularized-leader over the simplex and a fair-coin experts
-game, with the matching worst-case regret bound sqrt(2 Range(h) T)."""
+game.  The regularizer is the h of a smoothing kind: the leader's weights
+are the kind's gradient map at -eta L, and the matching worst-case regret
+bound is sqrt(2 range(h) T)."""
 
 from dataclasses import dataclass, field
 import csv
@@ -7,80 +9,39 @@ import math
 
 import numpy as np
 
-from .core import project_simplex_rows
-from .smoothings import c_constant, _lse_rows
-
-ENTROPY = "entropy"
-SCALED_QUADRATIC = "scaled-quadratic"
+from .smoothings import SmoothingKind
 
 
-@dataclass(frozen=True)
-class Regularizer:
-    """Strongly convex regularizer on the simplex with its range."""
-
-    kind: str
-    d: int
-    c: float = None
-
-    def __post_init__(self):
-        if self.kind not in (ENTROPY, SCALED_QUADRATIC):
-            raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.d < 2:
-            raise ValueError("regularizer needs d >= 2")
-        if self.kind == SCALED_QUADRATIC:
-            if self.c is None:
-                object.__setattr__(self, "c", c_constant(self.d))
-            elif self.c <= 0:
-                raise ValueError("quadratic weight c must be positive")
-        elif self.c is not None:
-            raise ValueError("c applies only to the scaled quadratic")
-
-    @classmethod
-    def entropy(cls, d):
-        return cls(ENTROPY, d)
-
-    @classmethod
-    def scaled_quadratic(cls, d, c=None):
-        return cls(SCALED_QUADRATIC, d, c)
-
-    @property
-    def range(self) -> float:
-        """max - min of the regularizer over the simplex."""
-        if self.kind == ENTROPY:
-            return math.log(self.d)
-        return 0.5 * self.c * (1.0 - 1.0 / self.d)
-
-
-def ftrl_weights(reg: Regularizer, cumulative_losses, eta: float) -> np.ndarray:
+def ftrl_weights(kind: SmoothingKind, cumulative_losses,
+                 eta: float) -> np.ndarray:
     """Regularized leader: argmin <w, L> + h(w)/eta over the simplex.
 
-    Entropy gives the softmax of -eta L (the log-sum-exp gradient); the
-    scaled quadratic gives the simplex projection of -eta L / c.
+    Entropy (lse, clse) gives the softmax of -eta L, the log-sum-exp
+    gradient; the quadratic (quad, quadc) gives the simplex projection of
+    -eta L / c.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     L = np.asarray(cumulative_losses, dtype=np.float64)
-    return _weights_rows(reg, eta, L[None, :])[0]
+    if L.shape != (kind.d,):
+        raise ValueError(f"losses have shape {L.shape}, kind has d={kind.d}")
+    return kind.grad_rows(-eta * L[None, :])[0]
 
 
-def _weights_rows(reg, eta, L):
-    if reg.kind == ENTROPY:
-        return _lse_rows(-eta * L, centered=False)[1]
-    return project_simplex_rows(-eta * L / reg.c)
-
-
-def tuned_eta(reg: Regularizer, T: int) -> float:
+def tuned_eta(kind: SmoothingKind, T: int) -> float:
     """The bound-optimizing learning rate sqrt(2 Range / T)."""
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    return math.sqrt(2.0 * reg.range / T)
+    if kind.d < 2:
+        raise ValueError("the regularized leader needs d >= 2")
+    return math.sqrt(2.0 * kind.range / T)
 
 
-def regret_bound(reg: Regularizer, T: int) -> float:
+def regret_bound(kind: SmoothingKind, T: int) -> float:
     """Worst-case regret sqrt(2 Range(h) T) of the tuned leader."""
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    return math.sqrt(2.0 * reg.range * T)
+    return math.sqrt(2.0 * kind.range * T)
 
 
 @dataclass
@@ -115,7 +76,7 @@ class RegretTrace:
                             f"{self.regret[t]:.17g}"])
 
 
-def run_coinflip_game(d: int, T: int, seed: int, reg: Regularizer = None,
+def run_coinflip_game(d: int, T: int, seed: int, kind: SmoothingKind = None,
                       eta: float = None) -> RegretTrace:
     """Experts game on i.i.d. fair coin flips.
 
@@ -123,13 +84,16 @@ def run_coinflip_game(d: int, T: int, seed: int, reg: Regularizer = None,
     outcome is another fair bit; an expert's loss is 1 on a mistake.  The
     learner plays the regularized leader of the cumulative losses and
     suffers the weighted loss.  Deterministic given the seed: the (T, d)
-    prediction block is drawn first, then the T outcomes.
+    prediction block is drawn first, then the T outcomes.  The default
+    kind is lse(d), the exponential-weights learner.
     """
     if d < 2 or T < 1:
         raise ValueError("need d >= 2 and T >= 1")
-    reg = Regularizer.entropy(d) if reg is None else reg
+    kind = SmoothingKind.lse(d) if kind is None else kind
+    if kind.d != d:
+        raise ValueError(f"kind dimension {kind.d} != number of experts {d}")
     if eta is None:
-        eta = tuned_eta(reg, T)
+        eta = tuned_eta(kind, T)
     elif eta <= 0:
         raise ValueError("eta must be positive")
     rng = np.random.default_rng(seed)
@@ -138,10 +102,10 @@ def run_coinflip_game(d: int, T: int, seed: int, reg: Regularizer = None,
     losses = (preds != outcomes).astype(np.float64)
     # the loss stream ignores the learner, so the whole game vectorizes
     prefix = np.vstack([np.zeros((1, d)), np.cumsum(losses, axis=0)])
-    weights = _weights_rows(reg, eta, prefix[:-1])
+    weights = kind.grad_rows(-eta * prefix[:-1])
     learner_cum = np.cumsum((weights * losses).sum(axis=1))
     best_cum = prefix[1:].min(axis=1)
     return RegretTrace(d=d, T=T, seed=seed, eta=eta,
-                       bound=regret_bound(reg, T), losses=losses,
+                       bound=regret_bound(kind, T), losses=losses,
                        weights=weights, learner_cum=learner_cum,
                        best_cum=best_cum)

@@ -1,11 +1,15 @@
 """Smooth uniform approximations of the coordinate-wise max.
 
-Two families: log-sum-exp (raw and centered) and quadratically regularized
-dual constructions.  Each kind carries its exact worst-case deviation
-formulas; gradients always land in the probability simplex.
+Every kind is a dual smoothing f(x) = max_{lam in simplex} <lam, x> - h(lam)
+- offset, with h the negative entropy (lse, clse) or the quadratic
+(c/2)(||lam||^2 - 1) (quad, quadc).  The range of h and the offset give the
+exact deviation interval [-offset, range - offset] and the gap bound; the
+regularized leader in `regret` reuses the same gradient map and the range.
+Gradients always land in the probability simplex.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -54,8 +58,9 @@ class SmoothingKind:
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
         if self.variant == QUADRATIC_CUSTOM:
-            if self.c is None or self.c <= 0:
-                raise ValueError("custom quadratic smoothing needs c > 0")
+            if self.c is None or not 0 < self.c < math.inf:
+                raise ValueError(
+                    "custom quadratic smoothing needs a finite c > 0")
         elif self.c is not None:
             raise ValueError("c is only a parameter of the custom quadratic")
 
@@ -75,11 +80,30 @@ class SmoothingKind:
     def quadratic_custom(cls, d, c):
         return cls(QUADRATIC_CUSTOM, d, float(c))
 
+    @classmethod
+    def parse(cls, text: str, d: int) -> "SmoothingKind":
+        """Parse lse | clse | quad | quadc:<c>; ValueError otherwise."""
+        if text in (LSE, CENTERED_LSE, QUADRATIC):
+            return cls(text, d)
+        if text.startswith(QUADRATIC_CUSTOM + ":"):
+            try:
+                c = float(text.split(":", 1)[1])
+            except ValueError:
+                raise ValueError(f"bad quadratic weight in {text!r}") from None
+            return cls.quadratic_custom(d, c)
+        raise ValueError(
+            f"kind must be lse, clse, quad, or quadc:<c>, got {text!r}")
+
     @property
     def is_quadratic(self) -> bool:
         return self.variant in (QUADRATIC, QUADRATIC_CUSTOM)
 
     @property
+    def centered(self) -> bool:
+        """Whether the offset is chosen to center the deviation range."""
+        return self.variant in (CENTERED_LSE, QUADRATIC)
+
+    @cached_property
     def regularizer_weight(self) -> float:
         """Quadratic weight c; the degenerate d=1 simplex accepts any c."""
         if self.variant == QUADRATIC_CUSTOM:
@@ -88,12 +112,32 @@ class SmoothingKind:
             return 1.0 if self.d == 1 else c_constant(self.d)
         raise ValueError(f"{self.variant} has no quadratic weight")
 
-    @property
-    def shift(self) -> float:
-        """Constant subtracted from the dual supremum."""
+    @cached_property
+    def range(self) -> float:
+        """max h - min h over the simplex: ln d, or (c/2)(1 - 1/d)."""
+        if self.is_quadratic:
+            return 0.5 * self.regularizer_weight * (1.0 - 1.0 / self.d)
+        return math.log(self.d)
+
+    @cached_property
+    def offset(self) -> float:
+        """Constant subtracted from the dual supremum: ln(d)/2 for clse,
+        the partition bound gamma(d) for quad, zero otherwise."""
+        if self.variant == CENTERED_LSE:
+            return 0.5 * math.log(self.d)
         if self.variant == QUADRATIC:
             return gamma_value(self.d)
         return 0.0
+
+    def grad_rows(self, Z):
+        """Row-wise argmax over the simplex of <lam, z> - h(lam).
+
+        The softmax for the entropy, the simplex projection of Z / c for the
+        quadratic; unvalidated (n, d) input.
+        """
+        if self.is_quadratic:
+            return project_simplex_rows(Z / self.regularizer_weight)
+        return _lse_rows(Z)[1]
 
     def label(self) -> str:
         if self.variant == QUADRATIC_CUSTOM:
@@ -112,104 +156,72 @@ class SmoothingKind:
         return self.d == 1 or self.c >= c_constant(self.d)
 
 
-def lse_value_grad(x, centered: bool = False) -> Evaluation:
-    """Log-sum-exp value and softmax gradient, max-subtracted for stability.
-
-    The centered variant subtracts ln(d)/2, splitting the overestimation
-    evenly around the max.
-    """
-    v = as_point(x)
-    vals, grads = _lse_rows(v[None, :], centered)
-    return Evaluation(value=float(vals[0]), gradient=grads[0])
-
-
-def quad_value_grad(x, kind: SmoothingKind) -> Evaluation:
-    """Quadratically regularized dual smoothing via simplex projection."""
-    if not kind.is_quadratic:
-        raise ValueError("quad_value_grad requires a quadratic kind")
+def value_grad(kind: SmoothingKind, x) -> Evaluation:
+    """Evaluate any smoothing kind at a single validated point."""
     v = as_point(x)
     if v.size != kind.d:
         raise ValueError(f"point has d={v.size}, kind expects d={kind.d}")
-    vals, grads = _quad_rows(v[None, :], kind.regularizer_weight, kind.shift)
+    vals, grads = _rows(kind, v[None, :])
     return Evaluation(value=float(vals[0]), gradient=grads[0])
-
-
-def value_grad(kind: SmoothingKind, x) -> Evaluation:
-    """Evaluate any smoothing kind at a single point."""
-    if kind.is_quadratic:
-        return quad_value_grad(x, kind)
-    return lse_value_grad(x, centered=kind.variant == CENTERED_LSE)
 
 
 def value_grad_many(kind: SmoothingKind, X):
     """Batched evaluation over the rows of an (n, d) array.
 
-    Returns (values, gradients) of shapes (n,) and (n, d).
+    Returns (values, gradients) of shapes (n,) and (n, d).  Entries are not
+    checked for finiteness: a non-finite row yields non-finite results.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != kind.d:
         raise ValueError(f"expected (n, {kind.d}) array, got {X.shape}")
-    if kind.is_quadratic:
-        return _quad_rows(X, kind.regularizer_weight, kind.shift)
-    return _lse_rows(X, kind.variant == CENTERED_LSE)
+    return _rows(kind, X)
 
 
-def _lse_rows(X, centered):
+def _rows(kind, X):
+    vals, grads = _quad_rows(kind, X) if kind.is_quadratic else _lse_rows(X)
+    offset = kind.offset
+    if offset:
+        vals = vals - offset
+    return vals, grads
+
+
+def _lse_rows(X):
     m = X.max(axis=1)
     e = np.exp(X - m[:, None])
     s = e.sum(axis=1)
-    vals = m + np.log(s)
-    if centered:
-        vals = vals - 0.5 * math.log(X.shape[1])
-    return vals, e / s[:, None]
+    return m + np.log(s), e / s[:, None]
 
 
-def _quad_rows(X, c, shift):
+def _quad_rows(kind, X):
     # max-subtraction: the projection and the translation rule are exact
     # under constant shifts, and working at max-anchored scale stops
     # large near-symmetric inputs from amplifying rounding error
     m = X.max(axis=1)
     Z = X - m[:, None]
-    lam = project_simplex_rows(Z / c)
+    lam = kind.grad_rows(Z)
+    c = kind.regularizer_weight
     vals = m + (lam * Z).sum(axis=1) \
         - 0.5 * c * ((lam * lam).sum(axis=1) - 1.0)
-    if shift:
-        vals = vals - shift
     return vals, lam
 
 
 def gap_bound(kind: SmoothingKind) -> float:
     """Theoretical uniform deviation bound from the max function.
 
-    ln(d) for lse, ln(d)/2 for clse, and the half-range (c/4)(1 - 1/d) for
-    quad, where the partition-bound shift centers the dual range exactly at
-    d in {2, 3}.  Beyond d = 3 the quad shift no longer centers the range
-    and the half-range is reported anyway; see deviation_interval for the
-    attained extremes.  The custom quadratic is an overestimator with full
-    range (c/2)(1 - 1/d).
+    The half-range for the centered kinds: ln(d)/2 for clse and
+    (c/4)(1 - 1/d) for quad, where the partition-bound shift centers the
+    dual range exactly at d in {2, 3}.  Beyond d = 3 the quad shift no
+    longer centers the range and the half-range is reported anyway; see
+    deviation_interval for the attained extremes.  The full range for the
+    overestimators: ln(d) for lse and (c/2)(1 - 1/d) for quadc.
     """
-    d = kind.d
-    if kind.variant == LSE:
-        return math.log(d)
-    if kind.variant == CENTERED_LSE:
-        return 0.5 * math.log(d)
-    half = 0.25 * kind.regularizer_weight * (1.0 - 1.0 / d)
-    if kind.variant == QUADRATIC:
-        return half
-    return 2.0 * half
+    return kind.range * 0.5 if kind.centered else kind.range
 
 
 def deviation_interval(kind: SmoothingKind):
     """Exact range [lo, hi] of f - sigma_max over all of R^d."""
-    d = kind.d
-    if kind.variant == LSE:
-        return 0.0, math.log(d)
-    if kind.variant == CENTERED_LSE:
-        return -0.5 * math.log(d), 0.5 * math.log(d)
-    full = 0.5 * kind.regularizer_weight * (1.0 - 1.0 / d)
-    if kind.variant == QUADRATIC:
-        return -kind.shift, full - kind.shift
-    return 0.0, full
+    # 0.0 - offset rather than -offset: a zero offset gives lo = +0.0
+    return 0.0 - kind.offset, kind.range - kind.offset
 
 
 def max_deviation(kind: SmoothingKind) -> float:

@@ -25,7 +25,7 @@ from maxsmooth.certify import (
     telescoping_sum,
 )
 from maxsmooth.minimax import load_problem, solve_smoothed, solve_subgradient
-from maxsmooth.regret import Regularizer, regret_bound, run_coinflip_game
+from maxsmooth.regret import regret_bound, run_coinflip_game
 from maxsmooth.smoothings import SmoothingKind, gap_bound, value_grad_many
 
 SEED = 20250808
@@ -171,13 +171,13 @@ def test_criterion_7_minimax_head_to_head():
 def test_criterion_8_regret_bound_and_duality():
     t0 = time.perf_counter()
     for d, T in ((2, 10**4), (16, 10**4), (256, 10**4)):
-        for reg in (Regularizer.entropy(d), Regularizer.scaled_quadratic(d)):
-            bound = regret_bound(reg, T)
+        for kind in (SmoothingKind.lse(d), SmoothingKind.quadratic(d)):
+            bound = regret_bound(kind, T)
             for seed in range(20):
-                trace = run_coinflip_game(d, T, seed=seed, reg=reg)
-                assert trace.final_regret <= bound, (d, reg.kind, seed)
+                trace = run_coinflip_game(d, T, seed=seed, kind=kind)
+                assert trace.final_regret <= bound, (d, kind.variant, seed)
         # duality: entropy weights equal the lse gradient at -eta * losses
-        trace = run_coinflip_game(d, 1000, seed=0, reg=Regularizer.entropy(d))
+        trace = run_coinflip_game(d, 1000, seed=0, kind=SmoothingKind.lse(d))
         prefix = np.vstack([np.zeros(d), np.cumsum(trace.losses, axis=0)[:-1]])
         _, grads = value_grad_many(SmoothingKind.lse(d), -trace.eta * prefix)
         assert np.abs(grads - trace.weights).max() <= 1e-12

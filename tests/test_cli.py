@@ -9,7 +9,8 @@ from importlib import resources
 
 import pytest
 
-from maxsmooth.cli import main, parse_kind, thread_count
+from maxsmooth.cli import main, thread_count
+from maxsmooth.smoothings import SmoothingKind
 
 
 def run_cli(capsys, *argv):
@@ -30,15 +31,15 @@ def instance_path(name):
 
 class TestKindParsing:
     def test_all_forms(self):
-        assert parse_kind("lse", 3).variant == "lse"
-        assert parse_kind("clse", 3).variant == "clse"
-        assert parse_kind("quad", 3).variant == "quad"
-        k = parse_kind("quadc:2.5", 3)
+        assert SmoothingKind.parse("lse", 3).variant == "lse"
+        assert SmoothingKind.parse("clse", 3).variant == "clse"
+        assert SmoothingKind.parse("quad", 3).variant == "quad"
+        k = SmoothingKind.parse("quadc:2.5", 3)
         assert k.variant == "quadc" and k.c == 2.5
 
     def test_bad_kind(self):
         with pytest.raises(Exception):
-            parse_kind("softmax", 3)
+            SmoothingKind.parse("softmax", 3)
 
 
 class TestGammaCommand:
@@ -139,6 +140,12 @@ class TestGapCommand:
             assert float(row["empirical_estimate"]) == pytest.approx(expected,
                                                                      abs=1e-9)
 
+    @pytest.mark.parametrize("kind", ["quadc:nan", "quadc:inf", "quadc:x"])
+    def test_bad_custom_weight_exits_2(self, capsys, kind):
+        code, out, err = run_cli(capsys, "gap", "--kind", kind, "--dim", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
     def test_centered(self, capsys):
         code, out, _ = run_cli(capsys, "gap", "--kind", "clse", "--dim", "3")
         row = parse_csv(out)[0]
@@ -184,6 +191,19 @@ class TestSolveCommand:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--problem", "/no/such.json")
         assert code == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_divergence_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps({
+            "n": 2, "L": 0.0, "M": 1.0, "y0": [1.0, -1.0], "components": [
+                {"type": "quadratic", "H": [[1e6, 0.0], [0.0, 1e6]], "a": a,
+                 "b": 0.0} for a in ([1.0, 0.0], [0.0, 1.0])]}))
+        code, out, _ = run_cli(capsys, "solve", "--problem", str(path),
+                               "--kind", "clse", "--max-iter", "5000")
+        assert code == 1
+        assert json.loads(out)["stop_reason"] == "diverged"
 
 
 class TestRegretCommand:

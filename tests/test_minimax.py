@@ -24,6 +24,13 @@ from maxsmooth.minimax import (
 from maxsmooth.smoothings import SmoothingKind
 
 
+# L = 0 understates the curvature H = 1e6 I, so the constant step
+# overshoots and the iterates grow until the scaled values overflow
+STIFF = {"n": 2, "L": 0.0, "M": 1.0, "y0": [1.0, -1.0], "components": [
+    {"type": "quadratic", "H": [[1e6, 0.0], [0.0, 1e6]], "a": a, "b": 0.0}
+    for a in ([1.0, 0.0], [0.0, 1.0])]}
+
+
 def bundled(name):
     with resources.files("maxsmooth.instances").joinpath(name).open() as fh:
         return load_problem(fh)
@@ -232,6 +239,14 @@ class TestSolveSmoothed:
     def test_rejects_bad_eps(self, absprob):
         with pytest.raises(ValueError):
             solve_smoothed(absprob, -1.0, SmoothingKind.lse(2))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflow_stops_as_diverged(self):
+        trace = solve_smoothed(load_problem(STIFF), 1e-3,
+                               SmoothingKind.centered_lse(2), max_iter=5000)
+        assert trace.stop_reason == "diverged"
+        assert trace.iterations < 5000
 
 
 class TestSolveSubgradient:

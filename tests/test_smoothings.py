@@ -18,9 +18,7 @@ from maxsmooth.smoothings import (
     center_offset,
     deviation_interval,
     gap_bound,
-    lse_value_grad,
     max_deviation,
-    quad_value_grad,
     value_grad,
     value_grad_many,
 )
@@ -58,20 +56,20 @@ KINDS_D4 = [SmoothingKind.lse(4), SmoothingKind.centered_lse(4),
 class TestLogSumExp:
     def test_symmetric_point(self):
         for d in (2, 5):
-            ev = lse_value_grad(np.zeros(d))
+            ev = value_grad(SmoothingKind.lse(d), np.zeros(d))
             assert ev.value == pytest.approx(math.log(d), abs=1e-15)
             np.testing.assert_allclose(ev.gradient, np.full(d, 1.0 / d),
                                        atol=1e-15)
 
     def test_closed_form_two_dim(self):
-        ev = lse_value_grad([1.0, 0.0])
+        ev = value_grad(SmoothingKind.lse(2), [1.0, 0.0])
         e = math.e
         assert ev.value == pytest.approx(math.log(1 + e), abs=1e-15)
         np.testing.assert_allclose(ev.gradient, [e / (1 + e), 1 / (1 + e)],
                                    atol=1e-15)
 
     def test_huge_input_matches_extended_precision(self):
-        ev = lse_value_grad([1000.0, 0.0])
+        ev = value_grad(SmoothingKind.lse(2), [1000.0, 0.0])
         assert math.isfinite(ev.value)
         assert ev.value == pytest.approx(lse_decimal([1000.0, 0.0]), abs=1e-12)
         assert ev.value == 1000.0  # the tail underflows to zero exactly
@@ -79,13 +77,13 @@ class TestLogSumExp:
     @pytest.mark.parametrize("x", [[30.0, 0.0], [3.0, -7.0, 1.5],
                                    [-700.0, -701.0], [50.0, 49.0, 48.0]])
     def test_matches_extended_precision(self, x):
-        assert lse_value_grad(x).value == pytest.approx(
+        assert value_grad(SmoothingKind.lse(len(x)), x).value == pytest.approx(
             lse_decimal(x), rel=1e-14, abs=1e-14)
 
     def test_centered_subtracts_half_log(self):
         x = [0.3, -1.2, 4.0]
-        raw = lse_value_grad(x)
-        cen = lse_value_grad(x, centered=True)
+        raw = value_grad(SmoothingKind.lse(3), x)
+        cen = value_grad(SmoothingKind.centered_lse(3), x)
         assert cen.value == pytest.approx(raw.value - 0.5 * math.log(3),
                                           abs=1e-15)
         np.testing.assert_array_equal(cen.gradient, raw.gradient)
@@ -94,7 +92,7 @@ class TestLogSumExp:
         rng = np.random.default_rng(11)
         for _ in range(300):
             x = rng.standard_normal(6) * 5
-            dev = lse_value_grad(x).value - sigma_max(x)
+            dev = value_grad(SmoothingKind.lse(6), x).value - sigma_max(x)
             assert -1e-12 <= dev <= math.log(6) + 1e-12
 
 
@@ -120,53 +118,49 @@ class TestCConstant:
 
 class TestQuadraticSmoothing:
     def test_value_at_origin_d2(self):
-        ev = quad_value_grad(np.zeros(2), SmoothingKind.quadratic(2))
+        ev = value_grad(SmoothingKind.quadratic(2), np.zeros(2))
         np.testing.assert_allclose(ev.gradient, [0.5, 0.5], atol=1e-15)
         assert ev.value == pytest.approx(0.25, abs=1e-15)
 
     def test_vertex_saturation_d2(self):
-        ev = quad_value_grad([10.0, 0.0], SmoothingKind.quadratic(2))
+        ev = value_grad(SmoothingKind.quadratic(2), [10.0, 0.0])
         np.testing.assert_allclose(ev.gradient, [1.0, 0.0], atol=1e-15)
         assert ev.value == pytest.approx(9.75, abs=1e-14)
 
     @pytest.mark.parametrize("d", [2, 3, 7])
     def test_symmetric_input_gives_uniform_gradient(self, d):
         for t in (-3.0, 0.0, 2.5):
-            ev = quad_value_grad(np.full(d, t), SmoothingKind.quadratic(d))
+            ev = value_grad(SmoothingKind.quadratic(d), np.full(d, t))
             np.testing.assert_allclose(ev.gradient, np.full(d, 1.0 / d),
                                        atol=1e-12)
 
     @pytest.mark.parametrize("d,step", [(2, 5e-4), (3, 1e-3)])
     def test_matches_grid_search_supremum(self, d, step):
         kind = SmoothingKind.quadratic(d)
-        c, shift = kind.regularizer_weight, kind.shift
+        c, shift = kind.regularizer_weight, kind.offset
         rng = np.random.default_rng(17)
         probes = [np.zeros(d), structured_point(1, d, 5.0),
                   structured_point(d, d, 2.0)]
         probes += [rng.standard_normal(d) * s for s in (0.5, 1.0, 3.0)
                    for _ in range(3)]
         for x in probes:
-            ev = quad_value_grad(x, kind)
+            ev = value_grad(kind, x)
             assert ev.value == pytest.approx(
                 quad_sup_by_grid(x, c, shift, step), abs=1e-6)
 
     def test_custom_weight_has_no_shift(self):
         kind = SmoothingKind.quadratic_custom(3, 1.0)
-        assert kind.shift == 0.0
-        ev = quad_value_grad(np.zeros(3), kind)
+        assert kind.offset == 0.0
+        ev = value_grad(kind, np.zeros(3))
         # supremum of -(c/2)(||lam||^2 - 1) at uniform: (c/2)(1 - 1/3)
         assert ev.value == pytest.approx(0.5 * (1 - 1 / 3), abs=1e-15)
 
     def test_degenerate_single_dim_is_identity(self):
         kind = SmoothingKind.quadratic(1)
         for t in (-5.0, 0.0, 2.0):
-            ev = quad_value_grad([t], kind)
+            ev = value_grad(kind, [t])
             assert ev.value == pytest.approx(t, abs=1e-15)
             assert ev.gradient[0] == 1.0
-
-    def test_rejects_lse_kind(self):
-        with pytest.raises(ValueError):
-            quad_value_grad([0.0, 0.0], SmoothingKind.lse(2))
 
 
 class TestGapFormulas:
@@ -182,6 +176,31 @@ class TestGapFormulas:
     def test_lse(self):
         assert gap_bound(SmoothingKind.lse(3)) == pytest.approx(math.log(3),
                                                                 abs=1e-15)
+
+    def test_helpers_are_the_closed_forms(self):
+        # exact ==, not approx; == cannot tell -0.0 from 0.0, which is fine
+        for d in range(1, 13):
+            log_d = math.log(d)
+            c_d = 1.0 if d == 1 else c_constant(d)
+            cases = [
+                (SmoothingKind.lse(d), log_d, 0.0, log_d),
+                (SmoothingKind.centered_lse(d), log_d, 0.5 * log_d,
+                 0.5 * log_d),
+                (SmoothingKind.quadratic(d), 0.5 * c_d * (1.0 - 1.0 / d),
+                 gamma_value(d), 0.25 * c_d * (1.0 - 1.0 / d)),
+            ]
+            for c in (0.5, 2.0, 7.3, 1e3):
+                full = 0.5 * c * (1.0 - 1.0 / d)
+                cases.append((SmoothingKind.quadratic_custom(d, c), full,
+                              0.0, full))
+            for kind, full, offset, gap in cases:
+                lo, hi = -offset, full - offset
+                assert kind.range == full
+                assert kind.offset == offset
+                assert gap_bound(kind) == gap
+                assert deviation_interval(kind) == (lo, hi)
+                assert max_deviation(kind) == max(abs(lo), abs(hi))
+                assert center_offset(kind) == 0.5 * (lo + hi)
 
     def test_deviation_interval_consistency(self):
         for kind in (SmoothingKind.lse(5), SmoothingKind.centered_lse(5),
@@ -212,10 +231,10 @@ class TestGapFormulas:
         for d in (2, 3):
             kind = SmoothingKind.quadratic(d)
             g = gap_bound(kind)
-            at0 = abs(quad_value_grad(np.zeros(d), kind).value)
+            at0 = abs(value_grad(kind, np.zeros(d)).value)
             alpha = 1e4
             ray = structured_point(1, d, alpha)
-            atv = abs(quad_value_grad(ray, kind).value - alpha)
+            atv = abs(value_grad(kind, ray).value - alpha)
             assert at0 == pytest.approx(g, abs=1e-9)
             assert atv == pytest.approx(g, abs=1e-9)
 
@@ -273,6 +292,14 @@ class TestSampledContracts:
         lo, hi = deviation_interval(kind)
         assert np.all(dev >= lo - 1e-10) and np.all(dev <= hi + 1e-10)
 
+    @pytest.mark.parametrize("kind", [
+        SmoothingKind.lse(3), SmoothingKind.centered_lse(3),
+        SmoothingKind.quadratic(3), SmoothingKind.quadratic_custom(3, 4.0)],
+        ids=lambda k: k.label())
+    def test_single_point_rejects_wrong_dimension(self, kind):
+        with pytest.raises(ValueError):
+            value_grad(kind, [1.0, 2.0])
+
     def test_batched_matches_single(self):
         rng = np.random.default_rng(9)
         for kind in KINDS_D4:
@@ -297,6 +324,20 @@ class TestKindValidation:
     def test_custom_needs_positive_c(self):
         with pytest.raises(ValueError):
             SmoothingKind.quadratic_custom(3, 0.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_custom_needs_finite_c(self, c):
+        with pytest.raises(ValueError):
+            SmoothingKind.quadratic_custom(3, c)
+        with pytest.raises(ValueError):
+            SmoothingKind.parse(f"quadc:{c}", 3)
+
+    def test_parse_raises_value_error(self):
+        with pytest.raises(ValueError, match="bad quadratic weight"):
+            SmoothingKind.parse("quadc:two", 3)
+        with pytest.raises(ValueError, match="kind must be lse, clse"):
+            SmoothingKind.parse("softmax", 3)
+        assert SmoothingKind.parse("quad", 5) == SmoothingKind.quadratic(5)
 
     def test_c_forbidden_elsewhere(self):
         with pytest.raises(ValueError):
