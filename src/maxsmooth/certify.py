@@ -5,9 +5,17 @@ measures the worst violation of one inequality, and reports it together
 with the witness attaining it.  Negative slack means the inequality holds
 with room to spare; a report passes iff the worst violation stays at or
 below its recorded tolerance.
+
+Every check that samples from a config starts from the same fresh-seed draw,
+so a suite run draws that sample once, evaluates it once and scans the
+probe rays for the empirical gap once: private one-entry caches keyed on
+(kind, config) hand the same read-only arrays to each check, and the suite
+clears them when it returns.  The q-grid evaluates its d probe points per
+scale in one batch.  Reports are bitwise those of the standalone checks.
 """
 
 from dataclasses import dataclass, field
+import functools
 import json
 import math
 
@@ -83,8 +91,7 @@ def reports_to_json(reports, indent=2) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=indent)
 
 
-def _sample_points(cfg: SamplerConfig, d: int, rng=None) -> np.ndarray:
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+def _sample_points(cfg: SamplerConfig, d: int, rng) -> np.ndarray:
     n = cfg.count
     if cfg.distribution == "gaussian":
         return cfg.scale * rng.standard_normal((n, d))
@@ -105,19 +112,48 @@ def _sample_rays(cfg, d, n, rng):
     return X
 
 
+@functools.lru_cache(maxsize=1)
+def _fresh_sample(cfg: SamplerConfig, d: int):
+    """The sample drawn from default_rng(cfg.seed), read-only, and the
+    generator state right after the draw."""
+    rng = np.random.default_rng(cfg.seed)
+    X = _sample_points(cfg, d, rng)
+    X.flags.writeable = False
+    return X, rng.bit_generator.state
+
+
+def _sample_and_rng(cfg: SamplerConfig, d: int):
+    """The fresh-seed sample and a generator continuing after its draw."""
+    X, state = _fresh_sample(cfg, d)
+    rng = np.random.default_rng(cfg.seed)
+    rng.bit_generator.state = state
+    return X, rng
+
+
+@functools.lru_cache(maxsize=1)
+def _evaluated_sample(kind: SmoothingKind, cfg: SamplerConfig):
+    """The fresh-seed sample with its values and gradients, all read-only.
+
+    Rows are evaluated independently, so they are bitwise the rows of any
+    batch the sample is part of.
+    """
+    X = _fresh_sample(cfg, kind.d)[0]
+    vals, G = value_grad_many(kind, X)
+    vals.flags.writeable = G.flags.writeable = False
+    return X, vals, G
+
+
 def _sample_pairs(cfg: SamplerConfig, d: int):
     """Pairs (x, y): mostly nearby perturbations, every fourth independent.
 
     Close pairs are the discriminating ones for gradient-Lipschitz checks;
     far pairs guard the large-separation regime.
     """
-    rng = np.random.default_rng(cfg.seed)
-    X = _sample_points(cfg, d, rng)
-    Y = np.empty_like(X)
+    X, rng = _sample_and_rng(cfg, d)
     rho = cfg.scale * 10.0 ** rng.uniform(-3.0, 0.5, size=cfg.count)
     U = rng.standard_normal((cfg.count, d))
     independent = np.arange(cfg.count) % 4 == 0
-    Y[:] = X + rho[:, None] * U
+    Y = X + rho[:, None] * U
     if independent.any():
         Y[independent] = _sample_points(
             SamplerConfig(seed=cfg.seed, count=int(independent.sum()),
@@ -134,7 +170,7 @@ def check_smoothness(kind: SmoothingKind, cfg: SamplerConfig,
     are skipped as trivially satisfied.
     """
     X, Y = _sample_pairs(cfg, kind.d)
-    _, GX = value_grad_many(kind, X)
+    GX = _evaluated_sample(kind, cfg)[2]
     _, GY = value_grad_many(kind, Y)
     dual = np.abs(GX - GY).sum(axis=1)
     primal = np.abs(X - Y).max(axis=1)
@@ -216,8 +252,7 @@ def check_gradient_fd(kind: SmoothingKind, x, h: float = 1e-5,
 def check_grad_in_simplex(kind: SmoothingKind, cfg: SamplerConfig,
                           tol: float = 1e-9) -> CertReport:
     """All sampled gradients are nonnegative and sum to one within tol."""
-    X = _sample_points(cfg, kind.d)
-    _, G = value_grad_many(kind, X)
+    X, _, G = _evaluated_sample(kind, cfg)
     viol = np.maximum(-G.min(axis=1), np.abs(G.sum(axis=1) - 1.0))
     k = int(np.argmax(viol))
     worst = float(viol[k])
@@ -225,7 +260,7 @@ def check_grad_in_simplex(kind: SmoothingKind, cfg: SamplerConfig,
         name=f"grad_in_simplex[{kind.label()}]",
         samples=cfg.count,
         worst_violation=worst,
-        witness=X[k],
+        witness=X[k].copy(),
         passed=worst <= tol,
         tolerance=tol,
         seed=cfg.seed,
@@ -256,18 +291,34 @@ def q_certificate(kind: SmoothingKind, i: int, j: int, alpha: float) -> float:
 
 def q_certificate_grid(kind: SmoothingKind, alphas=(0.1, 1.0, 10.0, 100.0),
                        tol: float = 1e-9) -> CertReport:
-    """Worst -Q over all index pairs and the given scales."""
+    """Worst -Q over all index pairs and the given scales.
+
+    Per scale the d probe points are evaluated in one batch, and each
+    residual is formed with the operations of q_certificate in the same
+    order (a batched 1 x d by d x 1 product rounds like its 1-D dot, where
+    a matrix-vector product need not), so the worst value and the witness,
+    the first maximum in (alpha, i, j) order, are bitwise those of the
+    pairwise loop.
+    """
     d = kind.d
     worst, witness, n = -math.inf, None, 0
-    for alpha in alphas:
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                if i == j:
-                    continue
-                v = -q_certificate(kind, i, j, alpha)
-                n += 1
-                if v > worst:
-                    worst, witness = v, (i, j, alpha)
+    for alpha in alphas if d > 1 else ():
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
+        # row j - 1 is the probe point alpha * x_j, as structured_point
+        X = np.where(np.tri(d, dtype=bool),
+                     alpha / np.arange(1, d + 1)[:, None], 0.0)
+        V, G = value_grad_many(kind, X)
+        neg = np.empty((d, d))  # neg[i - 1, j - 1] = -Q(i, j)
+        for j in range(d):
+            inner = np.matmul((X - X[j])[:, None, :], G[j][:, None])[:, 0, 0]
+            dual = np.abs(G - G[j]).sum(axis=1)
+            neg[:, j] = -(V - V[j] - inner - 0.5 * dual * dual)
+        np.fill_diagonal(neg, -math.inf)
+        k = int(np.argmax(neg))
+        n += d * (d - 1)
+        if neg.flat[k] > worst:
+            worst, witness = neg.flat[k], (k // d + 1, k % d + 1, alpha)
     if n == 0:  # d = 1 has a single probe point
         worst, witness = 0.0, (1, 1, alphas[0])
     return CertReport(
@@ -284,8 +335,7 @@ def check_expectation_guarantee(kind: SmoothingKind, delta: float,
                                 cfg: SamplerConfig,
                                 tol: float = 1e-9) -> CertReport:
     """<grad f(x), x> >= sigma_max(x) - 2*delta on every sample."""
-    X = _sample_points(cfg, kind.d)
-    _, G = value_grad_many(kind, X)
+    X, _, G = _evaluated_sample(kind, cfg)
     viol = X.max(axis=1) - 2.0 * delta - (G * X).sum(axis=1)
     k = int(np.argmax(viol))
     worst = float(viol[k])
@@ -293,7 +343,7 @@ def check_expectation_guarantee(kind: SmoothingKind, delta: float,
         name=f"expectation_guarantee[{kind.label()}]",
         samples=cfg.count,
         worst_violation=worst,
-        witness=X[k],
+        witness=X[k].copy(),
         passed=worst <= tol,
         tolerance=tol,
         seed=cfg.seed,
@@ -312,28 +362,37 @@ def empirical_gap(kind: SmoothingKind, alpha_max: float,
     """
     if alpha_max <= 0:
         raise ValueError("alpha_max must be positive")
-    d = kind.d
-    rays = [np.zeros(d)]
-    for j in range(1, d + 1):
-        for a in np.geomspace(1e-3, alpha_max, 80):
-            rays.append(structured_point(j, d, a))
-    X = np.vstack([np.array(rays), _sample_points(cfg, d)])
-    vals, _ = value_grad_many(kind, X)
-    dev = np.abs(vals - X.max(axis=1))
-    k = int(np.argmax(dev))
-    estimate = float(dev[k])
+    estimate, witness, samples = _gap_scan(kind, alpha_max, cfg)
     bound = max_deviation(kind)
     return CertReport(
         name=f"empirical_gap[{kind.label()}]",
-        samples=X.shape[0],
+        samples=samples,
         worst_violation=estimate - bound,
-        witness=X[k],
+        witness=witness.copy(),
         passed=estimate - bound <= tol,
         tolerance=tol,
         seed=cfg.seed,
         details={"estimate": estimate, "deviation_bound": bound,
                  "gap_bound": gap_bound(kind)},
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _gap_scan(kind: SmoothingKind, alpha_max: float, cfg: SamplerConfig):
+    """(estimate, read-only witness, samples) of the empirical_gap scan."""
+    d = kind.d
+    alphas = np.geomspace(1e-3, alpha_max, 80)
+    rays = np.zeros((1 + 80 * d, d))  # the origin, then 80 scales per ray
+    for j in range(1, d + 1):
+        rays[1 + 80 * (j - 1):1 + 80 * j, :j] = (alphas / j)[:, None]
+    ray_vals, _ = value_grad_many(kind, rays)
+    X, vals, _ = _evaluated_sample(kind, cfg)
+    dev = np.abs(np.concatenate([ray_vals - rays.max(axis=1),
+                                 vals - X.max(axis=1)]))
+    k = int(np.argmax(dev))
+    witness = (rays[k] if k < len(rays) else X[k - len(rays)]).copy()
+    witness.flags.writeable = False
+    return float(dev[k]), witness, len(rays) + len(X)
 
 
 def check_gradient_structure(kind: SmoothingKind, j: int, alphas,
@@ -379,11 +438,10 @@ def check_gradient_structure(kind: SmoothingKind, j: int, alphas,
 def check_permutation_invariance(kind: SmoothingKind, cfg: SamplerConfig,
                                  tol: float = 1e-9) -> CertReport:
     """f(Px) = f(x) and grad f(Px) = P grad f(x), one random P per sample."""
-    rng = np.random.default_rng(cfg.seed)
-    X = _sample_points(cfg, kind.d, rng)
+    X, rng = _sample_and_rng(cfg, kind.d)
     perms = np.argsort(rng.random((cfg.count, kind.d)), axis=1)
     Xp = np.take_along_axis(X, perms, axis=1)
-    vals, G = value_grad_many(kind, X)
+    _, vals, G = _evaluated_sample(kind, cfg)
     vals_p, Gp = value_grad_many(kind, Xp)
     viol = np.maximum(np.abs(vals_p - vals),
                       np.abs(Gp - np.take_along_axis(G, perms, axis=1)).max(axis=1))
@@ -393,7 +451,7 @@ def check_permutation_invariance(kind: SmoothingKind, cfg: SamplerConfig,
         name=f"permutation_invariance[{kind.label()}]",
         samples=cfg.count,
         worst_violation=worst,
-        witness=X[k],
+        witness=X[k].copy(),
         passed=worst <= tol,
         tolerance=tol,
         seed=cfg.seed,
@@ -444,18 +502,26 @@ def telescoping_certificate(kind: SmoothingKind, cfg: SamplerConfig,
 def run_certificate_suite(kind: SmoothingKind, seed: int = 20250808,
                           count: int = 10_000, tol_smooth: float = 1e-8,
                           tol: float = 1e-9, tol_fd: float = 1e-6) -> list:
-    """The full deterministic certificate battery for one smoothing kind."""
+    """The full deterministic certificate battery for one smoothing kind.
+
+    The sampled checks share one draw, one evaluation of it and one gap
+    scan; the shared arrays are released when the suite returns.
+    """
     d = kind.d
     cfg = SamplerConfig(seed=seed, count=count, scale=1.0, distribution="mixed")
-    reports = [
-        check_smoothness(kind, cfg, tol=tol_smooth),
-        check_grad_in_simplex(kind, cfg, tol=tol),
-        q_certificate_grid(kind, tol=tol),
-        check_expectation_guarantee(kind, gap_bound(kind), cfg, tol=tol),
-        empirical_gap(kind, 1e4, cfg, tol=tol),
-        check_permutation_invariance(kind, cfg, tol=tol),
-        telescoping_certificate(kind, cfg),
-    ]
+    try:
+        reports = [
+            check_smoothness(kind, cfg, tol=tol_smooth),
+            check_grad_in_simplex(kind, cfg, tol=tol),
+            q_certificate_grid(kind, tol=tol),
+            check_expectation_guarantee(kind, gap_bound(kind), cfg, tol=tol),
+            empirical_gap(kind, 1e4, cfg, tol=tol),
+            check_permutation_invariance(kind, cfg, tol=tol),
+            telescoping_certificate(kind, cfg),
+        ]
+    finally:
+        for cached in (_fresh_sample, _evaluated_sample, _gap_scan):
+            cached.cache_clear()
     rng = np.random.default_rng(seed + 2)
     for x in rng.standard_normal((3, d)):
         reports.append(check_gradient_fd(kind, x, tol=tol_fd))

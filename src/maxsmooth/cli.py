@@ -164,6 +164,8 @@ def cmd_regret(args) -> int:
         kind = SmoothingKind.lse(args.dim)
     else:
         kind = SmoothingKind.quadratic(args.dim)
+    if args.seeds < 1:
+        raise ValueError("seeds must be >= 1")
     seeds = list(range(args.seed, args.seed + args.seeds))
 
     def play(s):

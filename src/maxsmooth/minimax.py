@@ -238,42 +238,43 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
     best = math.inf
     best_point = y0.copy()
     calls = 0
-    for k in range(1, cap + 1):
-        vals, jac = p.eval_all(v)
-        calls += 1
-        _, G = value_grad_many(kind, (s * vals)[None, :])
-        grad = jac.T @ G[0]
-        obj_v = float(vals.max())
-        if obj_v < best:
-            best, best_point = obj_v, v.copy()
+    # a diverging solve overflows before it is stopped; its stop reason,
+    # not a numpy warning per iteration, reports that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cap + 1):
+            vals, jac = p.eval_all(v)
+            calls += 1
+            _, G = value_grad_many(kind, (s * vals)[None, :])
+            grad = jac.T @ G[0]
+            obj_v = float(vals.max())
+            if obj_v < best:
+                best, best_point = obj_v, v.copy()
 
-        x_new = v - grad / L_F
-        vals_x = p.eval_values(x_new)
-        calls += 1
-        obj_x = float(vals_x.max())
-        if obj_x < best:
-            best, best_point = obj_x, x_new.copy()
-        sv_x, _ = value_grad_many(kind, (s * vals_x)[None, :])
-        smooth_x = (float(sv_x[0]) - offset) / s
+            x_new = v - grad / L_F
+            vals_x = p.eval_values(x_new)
+            calls += 1
+            obj_x = float(vals_x.max())
+            if obj_x < best:
+                best, best_point = obj_x, x_new.copy()
+            sv_x, _ = value_grad_many(kind, (s * vals_x)[None, :])
+            smooth_x = (float(sv_x[0]) - offset) / s
 
-        if not (np.isfinite(obj_x) and np.isfinite(smooth_x)
-                and np.all(np.isfinite(x_new))):
-            trace.rows.append((k, obj_x, smooth_x, float(np.linalg.norm(grad)),
-                               best, calls))
-            trace.stop_reason = "diverged"
-            break
-        trace.rows.append((k, obj_x, smooth_x, float(np.linalg.norm(grad)),
-                           best, calls))
-        if target is not None and best <= target:
-            trace.stop_reason = "target_reached"
-            break
+            trace.rows.append((k, obj_x, smooth_x,
+                               float(np.linalg.norm(grad)), best, calls))
+            if not (np.isfinite(obj_x) and np.isfinite(smooth_x)
+                    and np.all(np.isfinite(x_new))):
+                trace.stop_reason = "diverged"
+                break
+            if target is not None and best <= target:
+                trace.stop_reason = "target_reached"
+                break
 
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
-        v = x_new + ((t_k - 1.0) / t_new) * (x_new - x_prev)
-        x_prev = x_new
-        t_k = t_new
-    else:
-        trace.stop_reason = "budget_exhausted" if budget else "max_iter"
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
+            v = x_new + ((t_k - 1.0) / t_new) * (x_new - x_prev)
+            x_prev = x_new
+            t_k = t_new
+        else:
+            trace.stop_reason = "budget_exhausted" if budget else "max_iter"
 
     trace.final_point = best_point
     trace.oracle_calls = calls
@@ -326,7 +327,9 @@ def load_problem(source, validate: bool = True) -> MaxOfSmoothProblem:
     Schema: {"n": int, "components": [{"type": "affine", "a": [...], "b": f}
     | {"type": "quadratic", "H": [[...]], "a": [...], "b": f}], "L": f,
     "M": f} with optional "optimal_value", "reference_point", "y0", "name".
-    Loaded component gradients are probed by finite differences unless
+    Every number must be finite, and a quadratic H symmetric positive
+    semidefinite up to 1e-12 times max(1, largest |entry|).  Loaded
+    component gradients are probed by finite differences unless
     validate=False.
     """
     if isinstance(source, dict):
@@ -368,6 +371,14 @@ def load_problem(source, validate: bool = True) -> MaxOfSmoothProblem:
                            np.asarray(entry["H"], dtype=np.float64))
                 if H.shape != (n, n):
                     raise KeyError(f"component 'H' must be {n}x{n}")
+                # relative to the entries, so rounding in a computed
+                # B @ B.T passes while a genuine defect does not
+                tol = 1e-12 * max(1.0, float(np.abs(H).max()))
+                if np.abs(H - H.T).max() > tol:
+                    raise ValueError(f"components[{k}].H must be symmetric")
+                if np.linalg.eigvalsh(H)[0] < -tol:
+                    raise ValueError(
+                        f"components[{k}].H must be positive semidefinite")
                 comps.append(QuadraticComponent(H=H, a=a, b=b))
             else:
                 raise KeyError(f"unknown component type {entry['type']!r}")

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from maxsmooth import certify
 from maxsmooth.bounds import gamma
 from maxsmooth.certify import (
     CertReport,
@@ -23,6 +24,7 @@ from maxsmooth.certify import (
     q_certificate_grid,
     reports_to_json,
     run_certificate_suite,
+    telescoping_certificate,
     telescoping_sum,
 )
 from maxsmooth.core import structured_point
@@ -30,6 +32,34 @@ from maxsmooth.smoothings import SmoothingKind, gap_bound, value_grad
 
 
 CFG = SamplerConfig(seed=42, count=2000, scale=1.0, distribution="mixed")
+
+
+def certify_caches():
+    return [v for v in vars(certify).values() if hasattr(v, "cache_clear")]
+
+
+def clear_caches():
+    for cache in certify_caches():
+        cache.cache_clear()
+
+
+def q_grid_loop(kind, alphas=(0.1, 1.0, 10.0, 100.0)):
+    """Reference q-grid: q_certificate on every ordered pair, the first
+    strict maximum of -Q in (alpha, i, j) order as the witness."""
+    d = kind.d
+    worst, witness, n = -math.inf, None, 0
+    for alpha in alphas:
+        for i in range(1, d + 1):
+            for j in range(1, d + 1):
+                if i == j:
+                    continue
+                v = -q_certificate(kind, i, j, alpha)
+                n += 1
+                if v > worst:
+                    worst, witness = v, (i, j, alpha)
+    if n == 0:
+        worst, witness = 0.0, (1, 1, alphas[0])
+    return worst, witness, max(n, 1)
 
 
 class TestSamplerConfig:
@@ -149,6 +179,20 @@ class TestQCertificate:
         report = q_certificate_grid(SmoothingKind.quadratic(3),
                                     alphas=(0.1, 1.0, 10.0, 100.0), tol=1e-9)
         assert report.passed
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("name", ["lse", "clse", "quad", "quadc:9.5"])
+    def test_grid_equals_pairwise_loop(self, name, d):
+        kind = SmoothingKind.parse(name, d)
+        report = q_certificate_grid(kind)
+        worst, witness, samples = q_grid_loop(kind)
+        assert report.worst_violation == worst
+        assert report.witness == witness
+        assert report.samples == samples
+
+    def test_grid_rejects_nonpositive_scale(self):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            q_certificate_grid(SmoothingKind.lse(3), alphas=(1.0, 0.0))
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -283,6 +327,46 @@ class TestSuiteAndReports:
             assert set(entry) == {"name", "samples", "worst_violation",
                                   "witness", "passed", "seed", "tolerance",
                                   "details"}
+
+    @pytest.mark.parametrize("kind", [
+        SmoothingKind.lse(4), SmoothingKind.centered_lse(3),
+        SmoothingKind.quadratic(5), SmoothingKind.quadratic_custom(4, 1.0)],
+        ids=lambda k: k.label())
+    def test_suite_reports_equal_standalone_checks(self, kind):
+        reports = run_certificate_suite(kind, seed=7, count=1000)
+        assert all(c.cache_info().currsize == 0 for c in certify_caches()
+                   if c.__module__ == certify.__name__)
+        cfg = SamplerConfig(seed=7, count=1000, distribution="mixed")
+        checks = [
+            lambda: check_smoothness(kind, cfg, tol=1e-8),
+            lambda: check_grad_in_simplex(kind, cfg),
+            lambda: q_certificate_grid(kind),
+            lambda: check_expectation_guarantee(kind, gap_bound(kind), cfg),
+            lambda: empirical_gap(kind, 1e4, cfg),
+            lambda: check_permutation_invariance(kind, cfg),
+            lambda: telescoping_certificate(kind, cfg),
+        ]
+        for report, check in zip(reports, checks):
+            clear_caches()
+            assert report.to_dict() == check().to_dict(), report.name
+
+    def test_mutating_a_witness_leaves_the_next_check_alone(self):
+        kind = SmoothingKind.quadratic(4)
+        checks = [
+            lambda: check_smoothness(kind, CFG),
+            lambda: check_grad_in_simplex(kind, CFG),
+            lambda: check_expectation_guarantee(kind, gap_bound(kind), CFG),
+            lambda: empirical_gap(kind, 1e4, CFG),
+            lambda: check_permutation_invariance(kind, CFG),
+        ]
+        clear_caches()
+        for check in checks:
+            report = check()
+            expected = report.to_dict()
+            for w in (report.witness if isinstance(report.witness, tuple)
+                      else (report.witness,)):
+                w[:] = 1e6
+            assert check().to_dict() == expected
 
     def test_report_pass_consistency(self):
         report = CertReport(name="x", samples=1, worst_violation=-1.0,

@@ -5,10 +5,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import maxsmooth
 from maxsmooth.cli import main, thread_count
 from maxsmooth.smoothings import SmoothingKind
 
@@ -27,6 +31,16 @@ def parse_csv(text):
 
 def instance_path(name):
     return str(resources.files("maxsmooth.instances").joinpath(name))
+
+
+def stiff_instance(tmp_path):
+    """L = 0 understates H = 1e6 I, so a constant-step solve diverges."""
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({
+        "n": 2, "L": 0.0, "M": 1.0, "y0": [1.0, -1.0], "components": [
+            {"type": "quadratic", "H": [[1e6, 0.0], [0.0, 1e6]], "a": a,
+             "b": 0.0} for a in ([1.0, 0.0], [0.0, 1.0])]}))
+    return path
 
 
 class TestKindParsing:
@@ -192,18 +206,37 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", "--problem", "/no/such.json")
         assert code == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_divergence_exits_1(self, capsys, tmp_path):
-        path = tmp_path / "stiff.json"
-        path.write_text(json.dumps({
-            "n": 2, "L": 0.0, "M": 1.0, "y0": [1.0, -1.0], "components": [
-                {"type": "quadratic", "H": [[1e6, 0.0], [0.0, 1e6]], "a": a,
-                 "b": 0.0} for a in ([1.0, 0.0], [0.0, 1.0])]}))
-        code, out, _ = run_cli(capsys, "solve", "--problem", str(path),
-                               "--kind", "clse", "--max-iter", "5000")
+        code, out, _ = run_cli(capsys, "solve", "--problem",
+                               str(stiff_instance(tmp_path)), "--kind", "clse",
+                               "--max-iter", "5000")
         assert code == 1
         assert json.loads(out)["stop_reason"] == "diverged"
+
+    def test_divergence_prints_no_numpy_warnings(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(maxsmooth.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxsmooth.cli", "solve", "--problem",
+             str(stiff_instance(tmp_path)), "--kind", "clse", "--max-iter",
+             "5000"], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["stop_reason"] == "diverged"
+        assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("H,defect", [
+        ([[1.0, 0.0], [0.0, -1.0]], "positive semidefinite"),
+        ([[1.0, 1e-6], [0.0, 1.0]], "symmetric"),
+        ([[1.0, 0.5], [0.0, 1.0]], "symmetric")])
+    def test_bad_quadratic_exits_2(self, capsys, tmp_path, H, defect):
+        bad = tmp_path / "bad_h.json"
+        bad.write_text(json.dumps({"n": 2, "L": 1.0, "M": 1.0, "components": [
+            {"type": "quadratic", "H": H, "a": [0.0, 0.0], "b": 0.0}]}))
+        code, out, err = run_cli(capsys, "solve", "--problem", str(bad),
+                                 "--max-iter", "10")
+        assert code == 2 and out == ""
+        assert err == ("error: bad problem schema: components[0].H must be "
+                       f"{defect}\n")
 
 
 class TestRegretCommand:
@@ -245,6 +278,17 @@ class TestRegretCommand:
         _, par, _ = run_cli(capsys, "regret", "--dim", "3", "--horizon", "200",
                             "--seeds", "4")
         assert seq == par
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_no_seeds_exits_2(self, capsys, tmp_path, seeds, trace):
+        argv = ["regret", "--dim", "2", "--horizon", "10", "--seeds", seeds]
+        if trace:
+            argv += ["--trace", str(tmp_path / "rounds.csv")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: seeds must be >= 1\n"
+        assert not (tmp_path / "rounds.csv").exists()
 
     def test_bad_thread_env_falls_back(self, monkeypatch):
         monkeypatch.setenv("MAXSMOOTH_THREADS", "many")

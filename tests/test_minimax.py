@@ -114,6 +114,33 @@ class TestProblemLoading:
         with pytest.raises(ProblemSchemaError, match=f"{field} must be finite"):
             load_problem(raw)
 
+    @pytest.mark.parametrize("H,defect", [
+        ([[1.0, 0.0], [0.0, -1.0]], "positive semidefinite"),
+        ([[1.0, 1e-6], [0.0, 1.0]], "symmetric"),
+        ([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
+        ([[-1e-9, 0.0], [0.0, 0.0]], "positive semidefinite")])
+    def test_quadratic_must_be_symmetric_psd(self, H, defect):
+        raw = {"n": 2, "L": 1.0, "M": 1.0, "components": [
+            {"type": "quadratic", "H": H, "a": [0.0, 0.0], "b": 0.0}]}
+        with pytest.raises(ProblemSchemaError,
+                           match=f"components\\[0\\].H must be {defect}"):
+            load_problem(raw)
+
+    def test_rounded_gram_matrices_load(self):
+        # B @ B.T as generated instances write it; the rank-3 one has
+        # eigenvalues that round to about -1e-15 instead of zero
+        rng = np.random.default_rng(5)
+        comps = []
+        for cols in (8, 3):
+            B = rng.standard_normal((8, cols))
+            comps.append({"type": "quadratic", "H": (B @ B.T).tolist(),
+                          "a": [0.0] * 8, "b": 0.0})
+        assert np.linalg.eigvalsh(comps[1]["H"])[0] < 0.0
+        problem = load_problem({"n": 8, "L": 30.0, "M": 1.0,
+                                "components": comps})
+        assert problem.d == 2
+        load_problem(STIFF)
+
     def test_gradient_validation_catches_corruption(self):
         class Broken:
             def value_grad(self, y):
@@ -240,8 +267,6 @@ class TestSolveSmoothed:
         with pytest.raises(ValueError):
             solve_smoothed(absprob, -1.0, SmoothingKind.lse(2))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_overflow_stops_as_diverged(self):
         trace = solve_smoothed(load_problem(STIFF), 1e-3,
                                SmoothingKind.centered_lse(2), max_iter=5000)

@@ -1,11 +1,12 @@
 """Print the label and the sha256 of the checked output of every benchmark op.
 
-Usage: python3 tools/output_digests.py <workload> <seed>
+Usage: python3 tools/output_digests.py <workload|all> <seed>
 
 Builds the op list of one `perfbench` workload (`perfbench/workloads.py` is
 imported, never changed), runs each op once in list order and prints
-`label digest`, plus `FAIL` when the op's own check fails.  Run it in two
-checkouts and diff the two listings to compare outputs across commits.
+`label digest`, plus `FAIL` when the op's own check fails.  `all` runs every
+workload in turn and prefixes each line with the workload's name.  Run it in
+two checkouts and diff the two listings to compare outputs across commits.
 """
 
 import hashlib
@@ -23,18 +24,22 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 
-def main(workload, seed):
+def main(workload, seed, prefix=()):
     capture = workloads.GammaTableCapture()
     with tempfile.TemporaryDirectory() as work:
         rng = np.random.default_rng(int(seed))
         for op in workloads.WORKLOADS[workload](rng, work, capture):
             fails, _, out = op.check(op.call())
-            print(op.label, hashlib.sha256(out).hexdigest(),
+            print(*prefix, op.label, hashlib.sha256(out).hexdigest(),
                   *(["FAIL"] if fails else []))
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3 or sys.argv[1] not in workloads.WORKLOADS:
+    if len(sys.argv) != 3 or sys.argv[1] not in (*workloads.WORKLOADS, "all"):
         names = ", ".join(workloads.WORKLOADS)
         sys.exit(f"{__doc__.strip()}\nworkloads: {names}")
-    main(*sys.argv[1:])
+    if sys.argv[1] == "all":
+        for name in workloads.WORKLOADS:
+            main(name, sys.argv[2], prefix=(name,))
+    else:
+        main(*sys.argv[1:])
