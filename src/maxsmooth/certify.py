@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .bounds import gamma
-from .core import sigma_max, structured_point
+from .core import structured_point
 from .smoothings import (
     SmoothingKind,
     gap_bound,
@@ -379,20 +379,33 @@ def empirical_gap(kind: SmoothingKind, alpha_max: float,
 
 @functools.lru_cache(maxsize=1)
 def _gap_scan(kind: SmoothingKind, alpha_max: float, cfg: SamplerConfig):
-    """(estimate, read-only witness, samples) of the empirical_gap scan."""
+    """(estimate, read-only witness, samples) of the empirical_gap scan.
+
+    The origin, the 80 scales of each probe ray and the sample are scanned
+    in that order, one ray per batch, so memory is O(80 d), not O(80 d^2).
+    """
     d = kind.d
     alphas = np.geomspace(1e-3, alpha_max, 80)
-    rays = np.zeros((1 + 80 * d, d))  # the origin, then 80 scales per ray
-    for j in range(1, d + 1):
-        rays[1 + 80 * (j - 1):1 + 80 * j, :j] = (alphas / j)[:, None]
-    ray_vals, _ = value_grad_many(kind, rays)
+
+    def rays():
+        yield np.zeros((1, d))
+        for j in range(1, d + 1):
+            P = np.zeros((80, d))
+            P[:, :j] = (alphas / j)[:, None]
+            yield P
+
+    def worst(P, values):
+        dev = np.abs(values - P.max(axis=1))
+        k = int(np.argmax(dev))
+        return dev[k], P[k].copy()
+
+    best = [worst(P, value_grad_many(kind, P)[0]) for P in rays()]
     X, vals, _ = _evaluated_sample(kind, cfg)
-    dev = np.abs(np.concatenate([ray_vals - rays.max(axis=1),
-                                 vals - X.max(axis=1)]))
-    k = int(np.argmax(dev))
-    witness = (rays[k] if k < len(rays) else X[k - len(rays)]).copy()
+    best.append(worst(X, vals))
+    # the first maximum of the whole scan, as one argmax over it would pick
+    estimate, witness = best[int(np.argmax([dev for dev, _ in best]))]
     witness.flags.writeable = False
-    return float(dev[k]), witness, len(rays) + len(X)
+    return float(estimate), witness, 1 + 80 * d + len(X)
 
 
 def check_gradient_structure(kind: SmoothingKind, j: int, alphas,

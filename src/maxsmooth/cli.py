@@ -8,12 +8,10 @@ configurations (including seeds) produce byte-identical output.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
 import math
-import os
 import sys
 
 from . import bounds, certify, minimax, regret
@@ -26,15 +24,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
-
-
-def thread_count() -> int:
-    """Worker cap from MAXSMOOTH_THREADS; defaults to sequential."""
-    raw = os.environ.get("MAXSMOOTH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit_table(rows, columns, fmt, out):
@@ -50,6 +39,11 @@ def _emit_table(rows, columns, fmt, out):
         for row in rows:
             w.writerow([_fmt(row[k]) for k in columns])
         text = buf.getvalue()
+    _write(text, out)
+
+
+def _write(text, out):
+    """Write text to the file out, or to stdout when out is unset."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -104,11 +98,7 @@ def cmd_verify(args) -> int:
             lines.append(f"{status} {r.name} worst={_fmt(r.worst_violation)}"
                          f" tol={_fmt(r.tolerance)} samples={r.samples}")
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -166,25 +156,21 @@ def cmd_regret(args) -> int:
         kind = SmoothingKind.quadratic(args.dim)
     if args.seeds < 1:
         raise ValueError("seeds must be >= 1")
-    seeds = list(range(args.seed, args.seed + args.seeds))
 
-    def play(s):
-        return regret.run_coinflip_game(args.dim, args.horizon, s, kind=kind,
-                                        eta=args.eta)
-
-    workers = thread_count()
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            traces = list(ex.map(play, seeds))
-    else:
-        traces = [play(s) for s in seeds]
-    if args.trace:
-        traces[0].to_csv(args.trace)
-    bound = regret.regret_bound(kind, args.horizon)
-    rows = [{"seed": t.seed, "regret": t.final_regret, "bound": bound}
-            for t in traces]
+    rows = []
+    for seed in range(args.seed, args.seed + args.seeds):
+        # rebinding frees the previous trace only after the next game has
+        # played: freed first, malloc trims the heap and each game faults its
+        # ~100 MB of temporaries back in (15-20 % slower at d = 256, T = 1e4
+        # on a 2-vCPU VM)
+        trace = regret.run_coinflip_game(args.dim, args.horizon, seed,
+                                         kind=kind, eta=args.eta)
+        if args.trace and seed == args.seed:
+            trace.to_csv(args.trace)
+        rows.append({"seed": seed, "regret": trace.final_regret,
+                     "bound": trace.bound})
     _emit_table(rows, ["seed", "regret", "bound"], args.format, args.out)
-    return 0 if all(t.final_regret <= bound for t in traces) else 1
+    return 0 if all(r["regret"] <= r["bound"] for r in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

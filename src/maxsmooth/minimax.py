@@ -321,16 +321,14 @@ def solve_subgradient(p: MaxOfSmoothProblem, iters: int, y0=None,
     return trace
 
 
-def load_problem(source, validate: bool = True) -> MaxOfSmoothProblem:
+def load_problem(source) -> MaxOfSmoothProblem:
     """Build a problem from a JSON file path, file object, or dict.
 
     Schema: {"n": int, "components": [{"type": "affine", "a": [...], "b": f}
     | {"type": "quadratic", "H": [[...]], "a": [...], "b": f}], "L": f,
     "M": f} with optional "optimal_value", "reference_point", "y0", "name".
     Every number must be finite, and a quadratic H symmetric positive
-    semidefinite up to 1e-12 times max(1, largest |entry|).  Loaded
-    component gradients are probed by finite differences unless
-    validate=False.
+    semidefinite up to 1e-12 times max(1, largest |entry|).
     """
     if isinstance(source, dict):
         raw = source
@@ -389,11 +387,8 @@ def load_problem(source, validate: bool = True) -> MaxOfSmoothProblem:
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemSchemaError(f"bad problem schema: {exc}") from exc
 
-    problem = MaxOfSmoothProblem(
+    return MaxOfSmoothProblem(
         components=comps, n=n, L=L, M=M, optimal_value=optimal_value,
         reference_point=reference_point, y0=y0,
         name=str(raw.get("name", "")),
     )
-    if validate:
-        problem.validate_gradients(seed=0, tol=1e-4, probes=1)
-    return problem

@@ -28,7 +28,12 @@ from maxsmooth.certify import (
     telescoping_sum,
 )
 from maxsmooth.core import structured_point
-from maxsmooth.smoothings import SmoothingKind, gap_bound, value_grad
+from maxsmooth.smoothings import (
+    SmoothingKind,
+    gap_bound,
+    value_grad,
+    value_grad_many,
+)
 
 
 CFG = SamplerConfig(seed=42, count=2000, scale=1.0, distribution="mixed")
@@ -60,6 +65,21 @@ def q_grid_loop(kind, alphas=(0.1, 1.0, 10.0, 100.0)):
     if n == 0:
         worst, witness = 0.0, (1, 1, alphas[0])
     return worst, witness, max(n, 1)
+
+
+def gap_scan_one_batch(kind, alpha_max, cfg):
+    """Reference empirical_gap scan: every probe ray and sample point in
+    one batch, the first maximum of |f - max| as the witness."""
+    d = kind.d
+    alphas = np.geomspace(1e-3, alpha_max, 80)
+    rays = np.zeros((1 + 80 * d, d))
+    for j in range(1, d + 1):
+        rays[1 + 80 * (j - 1):1 + 80 * j, :j] = (alphas / j)[:, None]
+    X = certify._fresh_sample(cfg, d)[0]
+    P = np.vstack([rays, X])
+    dev = np.abs(value_grad_many(kind, P)[0] - P.max(axis=1))
+    k = int(np.argmax(dev))
+    return float(dev[k]), P[k], len(P)
 
 
 class TestSamplerConfig:
@@ -243,6 +263,20 @@ class TestEmpiricalGap:
         report = empirical_gap(kind, 1e4, SamplerConfig(seed=1, count=500))
         assert report.passed
         assert report.details["estimate"] <= report.details["deviation_bound"] + 1e-9
+
+    @pytest.mark.parametrize("text", ["lse", "clse", "quad", "quadc:0.5"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 20])
+    @pytest.mark.parametrize("alpha_max", [1e4, 1e-2])
+    def test_scan_equals_one_batch(self, text, d, alpha_max):
+        kind = SmoothingKind.parse(text, d)
+        cfg = SamplerConfig(seed=d, count=300, scale=3.0, distribution="mixed")
+        clear_caches()
+        estimate, witness, samples = certify._gap_scan(kind, alpha_max, cfg)
+        ref_estimate, ref_witness, ref_samples = gap_scan_one_batch(
+            kind, alpha_max, cfg)
+        assert estimate == ref_estimate and samples == ref_samples
+        np.testing.assert_array_equal(witness, ref_witness)
+        clear_caches()
 
     def test_uncentered_range_shows_beyond_three(self):
         # at d >= 4 the attained deviation exceeds the reported half-range

@@ -2,18 +2,21 @@
 machine-readable formats."""
 
 import csv
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from importlib import resources
 
 import pytest
 
 import maxsmooth
-from maxsmooth.cli import main, thread_count
+from maxsmooth import regret
+from maxsmooth.cli import main
 from maxsmooth.smoothings import SmoothingKind
 
 
@@ -238,6 +241,16 @@ class TestSolveCommand:
         assert err == ("error: bad problem schema: components[0].H must be "
                        f"{defect}\n")
 
+    def test_large_coefficients_solve(self, capsys, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"n": 2, "L": 0.0, "M": 2e8, "components": [
+            {"type": "affine", "a": [s * 1e8, 1.0], "b": 0.0}
+            for s in (1.0, -1.0)]}))
+        code, out, err = run_cli(capsys, "solve", "--problem", str(big),
+                                 "--max-iter", "50")
+        assert code != 2 and err == ""
+        assert json.loads(out)["iterations"] <= 50
+
 
 class TestRegretCommand:
     def test_summary_bound_column(self, capsys):
@@ -260,24 +273,37 @@ class TestRegretCommand:
     def test_trace_file(self, capsys, tmp_path):
         path = tmp_path / "rounds.csv"
         code, out, _ = run_cli(capsys, "regret", "--dim", "2", "--horizon",
-                               "50", "--seeds", "1", "--trace", str(path))
+                               "50", "--seeds", "3", "--trace", str(path))
         assert code == 0
-        assert path.read_text().splitlines()[0] == \
-            "round,learner_loss,best_expert_loss,regret"
+        lines = path.read_text().splitlines()
+        assert lines[0] == "round,learner_loss,best_expert_loss,regret"
+        assert len(lines) == 51
+        first = parse_csv(out)[0]
+        assert lines[-1].split(",")[-1] == first["regret"]
+
+    def test_at_most_one_game_is_held(self, capsys, tmp_path,
+                                                   monkeypatch):
+        played, alive_at_start = [], []
+        game = regret.run_coinflip_game
+
+        def tracked(*args, **kwargs):
+            gc.collect()
+            alive_at_start.append(sum(r() is not None for r in played))
+            trace = game(*args, **kwargs)
+            played.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(regret, "run_coinflip_game", tracked)
+        code, _, _ = run_cli(capsys, "regret", "--dim", "3", "--horizon",
+                             "40", "--seeds", "4", "--trace",
+                             str(tmp_path / "rounds.csv"))
+        assert code == 0
+        assert len(alive_at_start) == 4 and max(alive_at_start) <= 1
 
     def test_quadratic_regularizer(self, capsys):
         code, out, _ = run_cli(capsys, "regret", "--dim", "4", "--horizon",
                                "200", "--seeds", "2", "--reg", "quad")
         assert code == 0
-
-    def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
-        _, seq, _ = run_cli(capsys, "regret", "--dim", "3", "--horizon", "200",
-                            "--seeds", "4")
-        monkeypatch.setenv("MAXSMOOTH_THREADS", "4")
-        assert thread_count() == 4
-        _, par, _ = run_cli(capsys, "regret", "--dim", "3", "--horizon", "200",
-                            "--seeds", "4")
-        assert seq == par
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     @pytest.mark.parametrize("trace", [False, True])
@@ -289,7 +315,3 @@ class TestRegretCommand:
         assert code == 2 and out == ""
         assert err == "error: seeds must be >= 1\n"
         assert not (tmp_path / "rounds.csv").exists()
-
-    def test_bad_thread_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("MAXSMOOTH_THREADS", "many")
-        assert thread_count() == 1

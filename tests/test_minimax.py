@@ -30,6 +30,13 @@ STIFF = {"n": 2, "L": 0.0, "M": 1.0, "y0": [1.0, -1.0], "components": [
     {"type": "quadratic", "H": [[1e6, 0.0], [0.0, 1e6]], "a": a, "b": 0.0}
     for a in ([1.0, 0.0], [0.0, 1.0])]}
 
+# |f| near 1e8: rounding alone moves a 1e-6 central difference by ~1e-3
+BIG_AFFINE = {"n": 2, "L": 0.0, "M": 2e8, "components": [
+    {"type": "affine", "a": [s * 1e8, 1.0], "b": 0.0} for s in (1.0, -1.0)]}
+BIG_QUADRATIC = {"n": 2, "L": 1e8, "M": 1e8, "components": [
+    {"type": "quadratic", "H": [[1e8, 0.0], [0.0, 1e8]], "a": a, "b": 0.0}
+    for a in ([1.0, 0.0], [0.0, 1.0])]}
+
 
 def bundled(name):
     with resources.files("maxsmooth.instances").joinpath(name).open() as fh:
@@ -140,6 +147,10 @@ class TestProblemLoading:
                                 "components": comps})
         assert problem.d == 2
         load_problem(STIFF)
+
+    @pytest.mark.parametrize("raw", [BIG_AFFINE, BIG_QUADRATIC])
+    def test_large_coefficients_load(self, raw):
+        assert load_problem(raw).d == 2
 
     def test_gradient_validation_catches_corruption(self):
         class Broken:
