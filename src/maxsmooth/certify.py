@@ -171,15 +171,19 @@ def check_smoothness(kind: SmoothingKind, cfg: SamplerConfig,
     """
     X, Y = _sample_pairs(cfg, kind.d)
     GX = _evaluated_sample(kind, cfg)[2]
-    _, GY = value_grad_many(kind, Y)
-    dual = np.abs(GX - GY).sum(axis=1)
-    primal = np.abs(X - Y).max(axis=1)
+    # both differences overwrite the fresh gradients of Y, so no count x d
+    # temporaries stand beside the sample and its gradients
+    _, D = value_grad_many(kind, Y)
+    dual = np.abs(np.subtract(GX, D, out=D), out=D).sum(axis=1)
+    primal = np.abs(np.subtract(X, Y, out=D), out=D).max(axis=1)
     keep = primal > 0.0
     raw = dual[keep] - primal[keep]
     normalized = raw / np.maximum(1.0, primal[keep])
     k = int(np.argmax(normalized))
     worst = float(normalized[k])
-    witness = (X[keep][k], Y[keep][k])
+    # copies of the one witness row, not of the kept count x d arrays
+    i = np.flatnonzero(keep)[k]
+    witness = (X[i].copy(), Y[i].copy())
     return CertReport(
         name=f"smoothness[{kind.label()}]",
         samples=int(keep.sum()),
@@ -360,8 +364,10 @@ def empirical_gap(kind: SmoothingKind, alpha_max: float,
     deviation formula for the kind; for quad at d >= 4 that formula exceeds
     gap_bound because the shift no longer centers the dual range.
     """
-    if alpha_max <= 0:
-        raise ValueError("alpha_max must be positive")
+    if not 0.0 < alpha_max < math.inf:
+        raise ValueError("alpha_max must be positive and finite")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     estimate, witness, samples = _gap_scan(kind, alpha_max, cfg)
     bound = max_deviation(kind)
     return CertReport(
@@ -518,8 +524,13 @@ def run_certificate_suite(kind: SmoothingKind, seed: int = 20250808,
     """The full deterministic certificate battery for one smoothing kind.
 
     The sampled checks share one draw, one evaluation of it and one gap
-    scan; the shared arrays are released when the suite returns.
+    scan; the shared arrays are released when the suite returns.  The
+    tolerances must be finite: an infinite one would pass every check.
     """
+    for name, value in (("tol", tol), ("tol_smooth", tol_smooth),
+                        ("tol_fd", tol_fd)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     d = kind.d
     cfg = SamplerConfig(seed=seed, count=count, scale=1.0, distribution="mixed")
     try:

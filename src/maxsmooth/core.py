@@ -44,7 +44,23 @@ def project_simplex(v) -> np.ndarray:
     Sort-and-threshold method, O(d log d), exact up to floating point;
     idempotent on simplex members.
     """
-    return project_simplex_rows(as_point(v)[None, :])[0]
+    return _project_simplex_point(as_point(v))
+
+
+def _project_simplex_point(v) -> np.ndarray:
+    """Simplex projection of an unvalidated 1-D float64 vector.
+
+    The same operations as one row of `project_simplex_rows`, so the
+    result is bitwise that row, without the batch indexing.
+    """
+    d = v.size
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    # largest k with u_(k) > (sum of top k - 1)/k; always true at k=1
+    ok = u * np.arange(1, d + 1) > css - 1.0
+    rho = d - 1 - int(ok[::-1].argmax())
+    tau = (css[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(v - tau, 0.0)
 
 
 def project_simplex_rows(V) -> np.ndarray:

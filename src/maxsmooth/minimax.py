@@ -2,7 +2,7 @@
 
 The max is replaced by a scaled smoothing of the coordinate-wise max and
 the resulting smooth composite is minimized with a constant-step
-accelerated gradient method; a projected-free subgradient descent on the
+accelerated gradient method; a projection-free subgradient descent on the
 raw max objective serves as the baseline.  Problem instances load from a
 small JSON schema and solver traces export as CSV.
 """
@@ -16,10 +16,10 @@ import numpy as np
 
 from .smoothings import (
     SmoothingKind,
+    _point,
     center_offset,
     gap_bound,
     value_grad,
-    value_grad_many,
 )
 
 
@@ -162,8 +162,7 @@ def composite_value_grad(p: MaxOfSmoothProblem, y, eps: float,
     interval so the composite brackets max_i g_i symmetrically within
     eps/2.  The gradient is the Jacobian-weighted simplex gradient of f.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if kind.d != p.d:
         raise ValueError(f"kind dimension {kind.d} != component count {p.d}")
     s = _composite_scale(kind, eps)
@@ -171,6 +170,11 @@ def composite_value_grad(p: MaxOfSmoothProblem, y, eps: float,
     ev = value_grad(kind, s * vals)
     value = (ev.value - center_offset(kind)) / s
     return value, jac.T @ ev.gradient
+
+
+def _check_eps(eps):
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
 
 
 def _composite_scale(kind: SmoothingKind, eps: float) -> float:
@@ -184,7 +188,10 @@ def smoothed_budget(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
                     distance: float) -> int:
     """A-priori iteration budget sqrt(L_F R^2 / (eps/2)) for the composite."""
     L_F = p.L + 2.0 * gap_bound(kind) * p.M ** 2 / eps
-    return max(1, int(math.ceil(math.sqrt(L_F * distance ** 2 / (eps / 2.0)))))
+    budget = math.sqrt(L_F * distance ** 2 / (eps / 2.0))
+    if not budget < math.inf:
+        raise ValueError("eps is too small: the iteration budget overflows")
+    return max(1, int(math.ceil(budget)))
 
 
 def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
@@ -199,8 +206,11 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
     point) when an optimum is recorded, or after max_iter.  A non-finite
     iterate, objective or smoothed value stops it as "diverged".
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
+    if budget_factor < 1:
+        raise ValueError("budget_factor must be >= 1")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     if y0 is None:
         y0 = p.y0 if p.y0 is not None else np.zeros(p.n)
     y0 = np.asarray(y0, dtype=np.float64)
@@ -244,8 +254,8 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
         for k in range(1, cap + 1):
             vals, jac = p.eval_all(v)
             calls += 1
-            _, G = value_grad_many(kind, (s * vals)[None, :])
-            grad = jac.T @ G[0]
+            _, lam = _point(kind, s * vals)
+            grad = jac.T @ lam
             obj_v = float(vals.max())
             if obj_v < best:
                 best, best_point = obj_v, v.copy()
@@ -256,13 +266,15 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
             obj_x = float(vals_x.max())
             if obj_x < best:
                 best, best_point = obj_x, x_new.copy()
-            sv_x, _ = value_grad_many(kind, (s * vals_x)[None, :])
-            smooth_x = (float(sv_x[0]) - offset) / s
+            sv_x, _ = _point(kind, s * vals_x)
+            smooth_x = (float(sv_x) - offset) / s
 
+            # the Euclidean norm as np.linalg.norm computes it for a 1-D
+            # real vector, without its dispatch
             trace.rows.append((k, obj_x, smooth_x,
-                               float(np.linalg.norm(grad)), best, calls))
-            if not (np.isfinite(obj_x) and np.isfinite(smooth_x)
-                    and np.all(np.isfinite(x_new))):
+                               math.sqrt(grad.dot(grad)), best, calls))
+            if not (math.isfinite(obj_x) and math.isfinite(smooth_x)
+                    and np.isfinite(x_new).all()):
                 trace.stop_reason = "diverged"
                 break
             if target is not None and best <= target:
@@ -300,16 +312,19 @@ def solve_subgradient(p: MaxOfSmoothProblem, iters: int, y0=None,
     best = math.inf
     best_point = y.copy()
     calls = 0
+    # affine components have constant gradients: their norms, computed as
+    # in the loop below, once per solve
+    norms = None if p._A is None else [math.sqrt(a.dot(a)) for a in p._A]
     for t in range(1, iters + 1):
         vals, jac = p.eval_all(y)
         calls += 1
-        i_star = int(np.argmax(vals))  # argmax returns the smallest index
+        i_star = int(vals.argmax())  # argmax returns the smallest index
         obj = float(vals[i_star])
         g = jac[i_star]
         if obj < best:
             best, best_point = obj, y.copy()
-        trace.rows.append((t, obj, math.nan, float(np.linalg.norm(g)),
-                           best, calls))
+        gnorm = math.sqrt(g.dot(g)) if norms is None else norms[i_star]
+        trace.rows.append((t, obj, math.nan, gnorm, best, calls))
         if target is not None and best <= target:
             trace.stop_reason = "target_reached"
             break

@@ -20,8 +20,8 @@ def ftrl_weights(kind: SmoothingKind, cumulative_losses,
     gradient; the quadratic (quad, quadc) gives the simplex projection of
     -eta L / c.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     L = np.asarray(cumulative_losses, dtype=np.float64)
     if L.shape != (kind.d,):
         raise ValueError(f"losses have shape {L.shape}, kind has d={kind.d}")
@@ -94,8 +94,8 @@ def run_coinflip_game(d: int, T: int, seed: int, kind: SmoothingKind = None,
         raise ValueError(f"kind dimension {kind.d} != number of experts {d}")
     if eta is None:
         eta = tuned_eta(kind, T)
-    elif eta <= 0:
-        raise ValueError("eta must be positive")
+    elif not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     rng = np.random.default_rng(seed)
     preds = rng.integers(0, 2, size=(T, d))
     outcomes = rng.integers(0, 2, size=(T, 1))

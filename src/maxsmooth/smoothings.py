@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .bounds import gamma_value
-from .core import as_point, project_simplex_rows
+from .core import _project_simplex_point, as_point, project_simplex_rows
 
 LSE = "lse"
 CENTERED_LSE = "clse"
@@ -161,8 +161,8 @@ def value_grad(kind: SmoothingKind, x) -> Evaluation:
     v = as_point(x)
     if v.size != kind.d:
         raise ValueError(f"point has d={v.size}, kind expects d={kind.d}")
-    vals, grads = _rows(kind, v[None, :])
-    return Evaluation(value=float(vals[0]), gradient=grads[0])
+    value, grad = _point(kind, v)
+    return Evaluation(value=float(value), gradient=grad)
 
 
 def value_grad_many(kind: SmoothingKind, X):
@@ -183,6 +183,29 @@ def _rows(kind, X):
     if offset:
         vals = vals - offset
     return vals, grads
+
+
+def _point(kind, x):
+    """(value, gradient) at an unvalidated 1-D point.
+
+    The formulas of `_rows` on one row with 1-D operations, so the results
+    are bitwise those of `_rows(kind, x[None, :])` without its per-call
+    batch overhead; the smoothed solver loop calls it directly.
+    """
+    m = x.max()
+    if kind.is_quadratic:
+        z = x - m
+        c = kind.regularizer_weight
+        lam = _project_simplex_point(z / c)
+        value = m + (lam * z).sum() - 0.5 * c * ((lam * lam).sum() - 1.0)
+    else:
+        e = np.exp(x - m)
+        s = e.sum()
+        value, lam = m + np.log(s), e / s
+    offset = kind.offset
+    if offset:
+        value = value - offset
+    return value, lam
 
 
 def _lse_rows(X):

@@ -241,6 +241,21 @@ class TestSolveCommand:
         assert err == ("error: bad problem schema: components[0].H must be "
                        f"{defect}\n")
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--eps", "nan", "eps must be positive and finite"),
+        ("--eps", "inf", "eps must be positive and finite"),
+        ("--eps", "1e-300", "eps is too small: the iteration budget overflows"),
+        ("--budget-factor", "0", "budget_factor must be >= 1"),
+        ("--budget-factor", "-2", "budget_factor must be >= 1"),
+        ("--max-iter", "0", "max_iter must be >= 1"),
+    ])
+    def test_out_of_range_solver_argument_exits_2(self, capsys, option, value,
+                                                  message):
+        code, out, err = run_cli(capsys, "solve", "--problem",
+                                 instance_path("affine20.json"), option, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_large_coefficients_solve(self, capsys, tmp_path):
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"n": 2, "L": 0.0, "M": 2e8, "components": [
@@ -315,3 +330,21 @@ class TestRegretCommand:
         assert code == 2 and out == ""
         assert err == "error: seeds must be >= 1\n"
         assert not (tmp_path / "rounds.csv").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("gap", "--alpha-max", "nan"), "alpha_max must be positive and finite"),
+    (("gap", "--alpha-max", "inf"), "alpha_max must be positive and finite"),
+    (("gap", "--tol", "nan"), "tol must be finite"),
+    (("gap", "--tol", "inf"), "tol must be finite"),
+    (("verify", "--count", "100", "--tol", "nan"), "tol must be finite"),
+    (("verify", "--count", "100", "--tol", "inf"), "tol must be finite"),
+    (("regret", "--horizon", "10", "--seeds", "1", "--eta", "nan"),
+     "eta must be positive and finite"),
+    (("regret", "--horizon", "10", "--seeds", "1", "--eta", "inf"),
+     "eta must be positive and finite"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_non_finite_float_option_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

@@ -130,12 +130,18 @@ class TestProjectSimplex:
         assert np.all(dists >= base - 1e-12)
 
     def test_rows_agree_with_single(self):
+        # the 1-D projection repeats the row operations: bitwise agreement
         rng = np.random.default_rng(5)
-        V = rng.standard_normal((40, 5))
+        V = np.vstack([
+            rng.standard_normal((40, 5)),
+            rng.integers(-1, 2, (10, 5)).astype(np.float64),  # ties
+            np.zeros((1, 5)),
+            np.full((1, 5), -0.0),
+            rng.choice([0.0, -0.0], (4, 5)),
+        ])
         rows = project_simplex_rows(V)
-        for i in range(40):
-            np.testing.assert_allclose(rows[i], project_simplex(V[i]),
-                                       atol=1e-14)
+        for i, v in enumerate(V):
+            np.testing.assert_array_equal(rows[i], project_simplex(v))
 
 
 class TestStructuredPoint:

@@ -21,7 +21,12 @@ from maxsmooth.minimax import (
     solve_smoothed,
     solve_subgradient,
 )
-from maxsmooth.smoothings import SmoothingKind
+from maxsmooth.smoothings import (
+    SmoothingKind,
+    center_offset,
+    gap_bound,
+    value_grad_many,
+)
 
 
 # L = 0 understates the curvature H = 1e6 I, so the constant step
@@ -36,6 +41,68 @@ BIG_AFFINE = {"n": 2, "L": 0.0, "M": 2e8, "components": [
 BIG_QUADRATIC = {"n": 2, "L": 1e8, "M": 1e8, "components": [
     {"type": "quadratic", "H": [[1e8, 0.0], [0.0, 1e8]], "a": a, "b": 0.0}
     for a in ([1.0, 0.0], [0.0, 1.0])]}
+
+
+def quadratic_problem():
+    """Max of six random convex quadratics in R^8; no optimum recorded."""
+    rng = np.random.default_rng(3)
+    n = 8
+    comps = []
+    for _ in range(6):
+        B = rng.standard_normal((n, n)) / math.sqrt(n)
+        comps.append(QuadraticComponent(H=B @ B.T, a=rng.standard_normal(n),
+                                        b=float(rng.standard_normal())))
+    L = max(float(np.linalg.eigvalsh(c.H)[-1]) for c in comps)
+    return MaxOfSmoothProblem(components=comps, n=n, L=L, M=5.0,
+                              y0=rng.uniform(-0.5, 0.5, n))
+
+
+def batch_path_smoothed_rows(p, eps, kind, max_iter):
+    """Trace rows of the accelerated loop written on the batch path:
+    value_grad_many on one-row batches and np.linalg.norm."""
+    delta = gap_bound(kind)
+    L_F = p.L + 2.0 * delta * p.M ** 2 / eps
+    s = 2.0 * delta / eps
+    offset = center_offset(kind)
+    target = None if p.optimal_value is None else p.optimal_value + eps
+    y0 = p.y0 if p.y0 is not None else np.zeros(p.n)
+    x_prev, v, t_k = y0.copy(), y0.copy(), 1.0
+    best, calls, rows = math.inf, 0, []
+    for k in range(1, max_iter + 1):
+        vals, jac = p.eval_all(v)
+        calls += 1
+        _, G = value_grad_many(kind, (s * vals)[None, :])
+        grad = jac.T @ G[0]
+        best = min(best, float(vals.max()))
+        x_new = v - grad / L_F
+        vals_x = p.eval_values(x_new)
+        calls += 1
+        obj_x = float(vals_x.max())
+        best = min(best, obj_x)
+        sv_x, _ = value_grad_many(kind, (s * vals_x)[None, :])
+        rows.append((k, obj_x, (float(sv_x[0]) - offset) / s,
+                     float(np.linalg.norm(grad)), best, calls))
+        if target is not None and best <= target:
+            break
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
+        v = x_new + ((t_k - 1.0) / t_new) * (x_new - x_prev)
+        x_prev, t_k = x_new, t_new
+    return rows
+
+
+def batch_path_subgradient_rows(p, iters, step_scale=0.1):
+    """Trace rows of the subgradient loop with np.argmax and
+    np.linalg.norm on every iteration."""
+    y = (p.y0 if p.y0 is not None else np.zeros(p.n)).copy()
+    best, rows = math.inf, []
+    for t in range(1, iters + 1):
+        vals, jac = p.eval_all(y)
+        i = int(np.argmax(vals))
+        best = min(best, float(vals[i]))
+        rows.append((t, float(vals[i]), math.nan,
+                     float(np.linalg.norm(jac[i])), best, t))
+        y = y - (step_scale / math.sqrt(t)) * jac[i]
+    return rows
 
 
 def bundled(name):
@@ -227,6 +294,10 @@ class TestComposite:
         with pytest.raises(ValueError):
             composite_value_grad(affine20, np.zeros(10), 1e-3,
                                  SmoothingKind.lse(3))
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                composite_value_grad(affine20, np.zeros(10), eps,
+                                     SmoothingKind.lse(20))
 
 
 class TestSolveSmoothed:
@@ -278,6 +349,17 @@ class TestSolveSmoothed:
         with pytest.raises(ValueError):
             solve_smoothed(absprob, -1.0, SmoothingKind.lse(2))
 
+    @pytest.mark.parametrize("problem", ["affine20", "quadratic"])
+    @pytest.mark.parametrize("kindname", ["clse", "lse", "quad", "quadc:8"])
+    def test_trace_matches_batch_path(self, affine20, problem, kindname):
+        p = affine20 if problem == "affine20" else quadratic_problem()
+        kind = SmoothingKind.parse(kindname, p.d)
+        trace = solve_smoothed(p, 1e-3, kind, max_iter=200)
+        expected = batch_path_smoothed_rows(p, 1e-3, kind, 200)
+        assert trace.iterations == len(expected)
+        np.testing.assert_array_equal(np.array(trace.rows),
+                                      np.array(expected))
+
     def test_overflow_stops_as_diverged(self):
         trace = solve_smoothed(load_problem(STIFF), 1e-3,
                                SmoothingKind.centered_lse(2), max_iter=5000)
@@ -321,6 +403,13 @@ class TestSolveSubgradient:
                                 target=affine20.optimal_value + eps)
         assert sub.stop_reason == "target_reached"
         assert smoothed.oracle_calls < sub.oracle_calls
+
+    @pytest.mark.parametrize("problem", ["affine20", "quadratic"])
+    def test_trace_matches_batch_path(self, affine20, problem):
+        p = affine20 if problem == "affine20" else quadratic_problem()
+        trace = solve_subgradient(p, 300)
+        np.testing.assert_array_equal(np.array(trace.rows),
+                                      np.array(batch_path_subgradient_rows(p, 300)))
 
     def test_rejects_bad_iters(self, absprob):
         with pytest.raises(ValueError):

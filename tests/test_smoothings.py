@@ -301,14 +301,32 @@ class TestSampledContracts:
             value_grad(kind, [1.0, 2.0])
 
     def test_batched_matches_single(self):
+        # value_grad runs its own 1-D kernel with the batch formulas, so
+        # every row agrees bitwise, signed zeros included
         rng = np.random.default_rng(9)
-        for kind in KINDS_D4:
-            X = rng.standard_normal((20, kind.d))
-            vals, grads = value_grad_many(kind, X)
-            for i in range(20):
-                ev = value_grad(kind, X[i])
-                assert vals[i] == ev.value
-                np.testing.assert_array_equal(grads[i], ev.gradient)
+        for d in (1, 2, 3, 20, 37):
+            X = np.vstack([
+                rng.standard_normal((20, d)),
+                1e8 * rng.standard_normal((4, d)),
+                1e8 * rng.integers(-2, 3, (3, d)),  # ties at large scale
+                rng.integers(-2, 3, (6, d)).astype(np.float64),  # ties
+                np.full((1, d), 3.0),  # all equal
+                np.zeros((1, d)),
+                np.full((1, d), -0.0),
+                rng.choice([0.0, -0.0], (3, d)),
+                rng.choice([0.0, -0.0, 1.0], (3, d)),
+            ])
+            for kind in (SmoothingKind.lse(d), SmoothingKind.centered_lse(d),
+                         SmoothingKind.quadratic(d),
+                         SmoothingKind.quadratic_custom(d, 2.5)):
+                vals, grads = value_grad_many(kind, X)
+                for i, row in enumerate(X):
+                    ev = value_grad(kind, row)
+                    assert vals[i] == ev.value
+                    assert np.signbit(vals[i]) == np.signbit(ev.value)
+                    np.testing.assert_array_equal(grads[i], ev.gradient)
+                    np.testing.assert_array_equal(np.signbit(grads[i]),
+                                                  np.signbit(ev.gradient))
 
     @given(hnp.arrays(np.float64, st.integers(1, 6).map(lambda d: (d,)),
                       elements=st.floats(-50, 50)),

@@ -1,12 +1,14 @@
 """Print the label and the sha256 of the checked output of every benchmark op.
 
-Usage: python3 tools/output_digests.py <workload|all> <seed>
+Usage: python3 tools/output_digests.py <workload|all> <seed> [<seed> ...]
 
 Builds the op list of one `perfbench` workload (`perfbench/workloads.py` is
 imported, never changed), runs each op once in list order and prints
 `label digest`, plus `FAIL` when the op's own check fails.  `all` runs every
-workload in turn and prefixes each line with the workload's name.  Run it in
-two checkouts and diff the two listings to compare outputs across commits.
+workload in turn and prefixes each line with the workload's name.  With
+more than one seed, every seed runs in the order given and each line is
+also prefixed with its seed.  Run it in two checkouts and diff the two
+listings to compare outputs across commits.
 """
 
 import hashlib
@@ -34,11 +36,14 @@ def main(workload, seed, prefix=()):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3 or sys.argv[1] not in (*workloads.WORKLOADS, "all"):
+    if len(sys.argv) < 3 or sys.argv[1] not in (*workloads.WORKLOADS, "all"):
         names = ", ".join(workloads.WORKLOADS)
         sys.exit(f"{__doc__.strip()}\nworkloads: {names}")
-    if sys.argv[1] == "all":
-        for name in workloads.WORKLOADS:
-            main(name, sys.argv[2], prefix=(name,))
-    else:
-        main(*sys.argv[1:])
+    names = list(workloads.WORKLOADS) if sys.argv[1] == "all" else [sys.argv[1]]
+    seeds = sys.argv[2:]
+    for seed in seeds:
+        for name in names:
+            prefix = (seed,) if len(seeds) > 1 else ()
+            if sys.argv[1] == "all":
+                prefix += (name,)
+            main(name, seed, prefix=prefix)
