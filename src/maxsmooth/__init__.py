@@ -9,7 +9,6 @@ from .bounds import (
     asymptotic_sandwich,
     beta_root,
     gamma,
-    gamma_bruteforce,
     two_term_lower,
 )
 from .certify import (
@@ -22,13 +21,10 @@ from .certify import (
     check_permutation_invariance,
     check_smoothness,
     empirical_gap,
-    q_certificate,
     run_certificate_suite,
     telescoping_sum,
 )
 from .core import (
-    norm_inf,
-    norm_one,
     project_simplex,
     sigma_max,
     structured_point,

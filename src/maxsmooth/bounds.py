@@ -1,18 +1,14 @@
 """Lower-bound machinery for smoothing gaps: the maximal partition sum
-gamma(d) computed by dynamic programming with certificate recovery, an
-exhaustive enumeration oracle, the transcendental constant behind the
-asymptotic slope, and the logarithmic sandwich bounds."""
+gamma(d) computed by dynamic programming with certificate recovery, the
+transcendental constant behind the asymptotic slope, and the logarithmic
+sandwich bounds."""
 
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 import math
 
 import numpy as np
-
-BRUTEFORCE_MAX_D = 22
-BRUTEFORCE_EXACT_MAX_D = 12
 
 
 @dataclass(frozen=True)
@@ -21,9 +17,6 @@ class PartitionCertificate:
 
     indices: tuple
     value: float
-
-    def recompute(self) -> float:
-        return partition_sum(self.indices)
 
 
 @dataclass(frozen=True)
@@ -48,7 +41,11 @@ def gamma_table(d: int):
     Returns (values, predecessors), float64 and int64 arrays indexed 0..d:
     values[m] = max over 1 <= i < m of values[i] + ((m - i) / m)^2 is the
     maximal partition sum from 1 to m, and predecessors[m] is the smallest
-    maximizing i.  O(d log d) time and O(d) memory.
+    i that maximizes the float64 sum.  That tie rule holds in floating
+    point only: at m = 175 the exact maximizers are 49 and 50 and the
+    rounded sums make 50 the larger one (m = 1326: 390 and 391), so an
+    exact tie may be broken toward the larger index; either choice
+    continues an optimal chain.  O(d log d) time and O(d) memory.
 
     Only i <= ceil(m/2) can be needed.  Take a chain to m whose last point
     before m lies above ceil(m/2), and split it at its last point
@@ -70,7 +67,8 @@ def gamma_table(d: int):
     Candidate j enters at m = 2j - 1 and a queue keeps, for each live
     candidate, the first m at which it is the argmax, found by a doubling
     then binary search when it enters.  A later candidate takes over only
-    when strictly better, which keeps the smallest-index tie rule.
+    when its float sum is strictly larger, which keeps the smallest-index
+    tie rule among equal float sums.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -140,34 +138,6 @@ def gamma(d: int) -> PartitionCertificate:
     while chain[-1] != 1:
         chain.append(int(pred[chain[-1]]))
     return PartitionCertificate(indices=tuple(reversed(chain)), value=float(g[d]))
-
-
-def gamma_bruteforce(d: int, exact: bool = False):
-    """Exhaustive maximum over all 2^(d-2) admissible index chains.
-
-    Testing oracle, independent of the DP.  With exact=True (d <= 12) the
-    sum is carried in rational arithmetic and returned as a Fraction.
-    """
-    limit = BRUTEFORCE_EXACT_MAX_D if exact else BRUTEFORCE_MAX_D
-    if not 2 <= d <= limit:
-        raise ValueError(f"brute force supports 2 <= d <= {limit}"
-                         f"{' in exact mode' if exact else ''}, got {d}")
-    zero = Fraction(0) if exact else 0.0
-
-    def term(a, b):
-        return Fraction(b - a, b) ** 2 if exact else ((b - a) / b) ** 2
-
-    best = [zero]
-
-    def extend(prev, acc):
-        closing = acc + term(prev, d)
-        if closing > best[0]:
-            best[0] = closing
-        for nxt in range(prev + 1, d):
-            extend(nxt, acc + term(prev, nxt))
-
-    extend(1, zero)
-    return best[0]
 
 
 @lru_cache(maxsize=None)

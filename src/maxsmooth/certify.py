@@ -271,38 +271,20 @@ def check_grad_in_simplex(kind: SmoothingKind, cfg: SamplerConfig,
     )
 
 
-def q_certificate(kind: SmoothingKind, i: int, j: int, alpha: float) -> float:
-    """Smooth-convexity residual between two scaled probe points.
-
-    Q = f(a x_i) - f(a x_j) - <grad f(a x_j), a x_i - a x_j>
-        - 0.5 ||grad f(a x_i) - grad f(a x_j)||_1^2,
-    nonnegative for any convex function that is 1-smooth in the infinity
-    norm; i == j gives exactly zero.
-    """
-    d = kind.d
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise ValueError(f"indices must lie in 1..{d}, got i={i}, j={j}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    xi = structured_point(i, d, alpha)
-    xj = structured_point(j, d, alpha)
-    ei = value_grad(kind, xi)
-    ej = value_grad(kind, xj)
-    inner = float(ej.gradient @ (xi - xj))
-    dual = float(np.abs(ei.gradient - ej.gradient).sum())
-    return ei.value - ej.value - inner - 0.5 * dual * dual
-
-
 def q_certificate_grid(kind: SmoothingKind, alphas=(0.1, 1.0, 10.0, 100.0),
                        tol: float = 1e-9) -> CertReport:
     """Worst -Q over all index pairs and the given scales.
 
-    Per scale the d probe points are evaluated in one batch, and each
-    residual is formed with the operations of q_certificate in the same
-    order (a batched 1 x d by d x 1 product rounds like its 1-D dot, where
-    a matrix-vector product need not), so the worst value and the witness,
-    the first maximum in (alpha, i, j) order, are bitwise those of the
-    pairwise loop.
+    Q(i, j) = f(a x_i) - f(a x_j) - <grad f(a x_j), a x_i - a x_j>
+              - 0.5 ||grad f(a x_i) - grad f(a x_j)||_1^2
+    is the smooth-convexity residual between two scaled probe points,
+    nonnegative for any convex function that is 1-smooth in the infinity
+    norm.  Per scale the d probe points are evaluated in one batch, and
+    each residual is formed with the operations of a single-point pair
+    evaluation in the same order (a batched 1 x d by d x 1 product rounds
+    like its 1-D dot, where a matrix-vector product need not), so the worst
+    value and the witness, the first maximum in (alpha, i, j) order, are
+    bitwise those of the pairwise loop.
     """
     d = kind.d
     worst, witness, n = -math.inf, None, 0

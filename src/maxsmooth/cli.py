@@ -180,19 +180,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificates, solvers, and experts games.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kind=False, dim=True):
-        if dim:
-            p.add_argument("--dim", type=int, default=2, help="dimension d")
+    def common(p, kind=False, seed=True):
+        p.add_argument("--dim", type=int, default=2, help="dimension d")
         if kind:
             p.add_argument("--kind", default="lse",
                            help="lse | clse | quad | quadc:<c>")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (stdout if unset)")
 
     p = sub.add_parser("gamma", help="partition lower bound table")
     p.add_argument("--dims", default=None, help="comma list of dimensions")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("verify", help="run the certificate suite")
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("regret", help="fair-coin experts game")
-    common(p, dim=True)
+    common(p)
     p.add_argument("--horizon", type=int, default=10_000)
     p.add_argument("--seeds", type=int, default=20, help="number of seeds")
     p.add_argument("--reg", choices=("entropy", "quad"), default="entropy")

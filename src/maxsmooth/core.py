@@ -1,10 +1,8 @@
-"""Vector primitives: the coordinate-wise max, the infinity/one dual norm
-pair, Euclidean projection onto the probability simplex, and the sparse
-uniform probe points used throughout the lower-bound machinery."""
+"""Vector primitives: the coordinate-wise max, Euclidean projection onto
+the probability simplex, and the sparse uniform probe points used
+throughout the lower-bound machinery."""
 
 import numpy as np
-
-SIMPLEX_TOL = 1e-12
 
 
 def as_point(x) -> np.ndarray:
@@ -20,22 +18,6 @@ def as_point(x) -> np.ndarray:
 def sigma_max(x) -> float:
     """Coordinate-wise maximum max_i x_i."""
     return float(np.max(as_point(x)))
-
-
-def norm_inf(x) -> float:
-    return float(np.max(np.abs(as_point(x))))
-
-
-def norm_one(x) -> float:
-    return float(np.sum(np.abs(as_point(x))))
-
-
-def is_simplex_point(w, tol: float = SIMPLEX_TOL) -> bool:
-    """True if w is nonnegative and sums to 1, both within tol."""
-    v = np.asarray(w, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)):
-        return False
-    return bool(np.all(v >= -tol) and abs(float(v.sum()) - 1.0) <= tol)
 
 
 def project_simplex(v) -> np.ndarray:

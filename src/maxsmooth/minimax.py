@@ -94,26 +94,6 @@ class MaxOfSmoothProblem:
     def objective(self, y) -> float:
         return float(self.eval_values(y).max())
 
-    def validate_gradients(self, seed: int = 0, tol: float = 1e-5,
-                           probes: int = 3) -> float:
-        """Central-difference check of every component gradient."""
-        rng = np.random.default_rng(seed)
-        h = 1e-6
-        worst = 0.0
-        for _ in range(probes):
-            y = rng.standard_normal(self.n)
-            for c in self.components:
-                _, g = c.value_grad(y)
-                for i in range(self.n):
-                    e = np.zeros(self.n)
-                    e[i] = h
-                    fd = (c.value_grad(y + e)[0] - c.value_grad(y - e)[0]) / (2 * h)
-                    worst = max(worst, abs(fd - g[i]))
-        if worst > tol:
-            raise ProblemSchemaError(
-                f"component gradient fails finite-difference check: {worst:g}")
-        return worst
-
 
 @dataclass
 class SolverTrace:
@@ -132,16 +112,6 @@ class SolverTrace:
     @property
     def iterations(self) -> int:
         return len(self.rows)
-
-    def best_sequence(self) -> np.ndarray:
-        return np.array([r[4] for r in self.rows])
-
-    def calls_to_reach(self, target: float):
-        """Oracle calls spent when best objective first hit target."""
-        for it, obj, sm, gn, best, calls in self.rows:
-            if best <= target:
-                return calls
-        return None
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:

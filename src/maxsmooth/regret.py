@@ -96,6 +96,9 @@ def run_coinflip_game(d: int, T: int, seed: int, kind: SmoothingKind = None,
         eta = tuned_eta(kind, T)
     elif not 0.0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
+    # cumulative losses are at most T, so -eta * prefix cannot overflow
+    if not math.isfinite(eta * T):
+        raise ValueError("eta * horizon must be finite")
     rng = np.random.default_rng(seed)
     preds = rng.integers(0, 2, size=(T, d))
     outcomes = rng.integers(0, 2, size=(T, 1))

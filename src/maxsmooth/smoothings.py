@@ -144,17 +144,6 @@ class SmoothingKind:
             return f"quadc[c={self.c:g}](d={self.d})"
         return f"{self.variant}(d={self.d})"
 
-    @property
-    def certified_smooth(self) -> bool:
-        """Whether 1-smoothness in the infinity norm is guaranteed.
-
-        A custom quadratic with c below the threshold constant can still be
-        evaluated but carries no smoothness certificate.
-        """
-        if self.variant != QUADRATIC_CUSTOM:
-            return True
-        return self.d == 1 or self.c >= c_constant(self.d)
-
 
 def value_grad(kind: SmoothingKind, x) -> Evaluation:
     """Evaluate any smoothing kind at a single validated point."""

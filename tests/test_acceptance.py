@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from maxsmooth.bounds import (
-    asymptotic_sandwich,
-    beta_root,
-    gamma,
-    gamma_bruteforce,
-)
+from maxsmooth.bounds import asymptotic_sandwich, beta_root, gamma
 from maxsmooth.certify import (
     SamplerConfig,
     empirical_gap,
@@ -27,6 +22,7 @@ from maxsmooth.certify import (
 from maxsmooth.minimax import load_problem, solve_smoothed, solve_subgradient
 from maxsmooth.regret import regret_bound, run_coinflip_game
 from maxsmooth.smoothings import SmoothingKind, gap_bound, value_grad_many
+from test_bounds import gamma_bruteforce
 
 SEED = 20250808
 

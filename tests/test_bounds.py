@@ -1,5 +1,5 @@
 """Partition lower-bound tests: DP vs exhaustive oracle, exact rational
-cross-check, the transcendental constant, and the logarithmic sandwich."""
+DP cross-check, the transcendental constant, and the logarithmic sandwich."""
 
 import itertools
 import math
@@ -13,11 +13,50 @@ from maxsmooth.bounds import (
     asymptotic_sandwich,
     beta_root,
     gamma,
-    gamma_bruteforce,
     gamma_table,
     partition_sum,
     two_term_lower,
 )
+
+
+def gamma_bruteforce(d, exact=False):
+    """Exhaustive maximum over all 2^(d-2) admissible index chains.
+
+    Independent of the DP.  With exact=True (d <= 12) the sum is carried
+    in rational arithmetic and returned as a Fraction.
+    """
+    limit = 12 if exact else 22
+    if not 2 <= d <= limit:
+        raise ValueError(f"brute force supports 2 <= d <= {limit}"
+                         f"{' in exact mode' if exact else ''}, got {d}")
+    zero = Fraction(0) if exact else 0.0
+
+    def term(a, b):
+        return Fraction(b - a, b) ** 2 if exact else ((b - a) / b) ** 2
+
+    best = [zero]
+
+    def extend(prev, acc):
+        closing = acc + term(prev, d)
+        if closing > best[0]:
+            best[0] = closing
+        for nxt in range(prev + 1, d):
+            extend(nxt, acc + term(prev, nxt))
+
+    extend(1, zero)
+    return best[0]
+
+
+def gamma_table_exact(d):
+    """Exact values of the partition recurrence up to d, O(d^2) Fractions.
+
+    Maximizes over every 1 <= i < m, so it does not rely on the DP's
+    restriction to i <= ceil(m/2).
+    """
+    g = [Fraction(0)] * (d + 1)
+    for m in range(2, d + 1):
+        g[m] = max(g[i] + Fraction(m - i, m) ** 2 for i in range(1, m))
+    return g
 
 
 def enumerate_chains_directly(d):
@@ -93,7 +132,18 @@ class TestGamma:
     def test_certificate_recomputes_to_value(self):
         for d in (2, 7, 50, 300):
             cert = gamma(d)
-            assert abs(cert.recompute() - cert.value) <= 1e-12
+            assert abs(partition_sum(cert.indices) - cert.value) <= 1e-12
+
+    def test_every_chain_is_exactly_optimal(self):
+        # exact ties such as m = 175 (49 and 50) may be broken either way,
+        # so the test asks for an exact maximizer, not the smallest one
+        d = 400
+        exact = gamma_table_exact(d)
+        g, pred = gamma_table(d)
+        for m in range(2, d + 1):
+            p = int(pred[m])
+            assert exact[p] + Fraction(m - p, m) ** 2 == exact[m], m
+            assert abs(Fraction(float(g[m])) - exact[m]) <= 1e-15, m
 
     def test_tie_break_prefers_smallest_predecessor(self):
         # values are argmax-first over ascending i, so indices are canonical

@@ -20,7 +20,6 @@ from maxsmooth.certify import (
     check_permutation_invariance,
     check_smoothness,
     empirical_gap,
-    q_certificate,
     q_certificate_grid,
     reports_to_json,
     run_certificate_suite,
@@ -46,6 +45,19 @@ def certify_caches():
 def clear_caches():
     for cache in certify_caches():
         cache.cache_clear()
+
+
+def q_certificate(kind, i, j, alpha):
+    """Smooth-convexity residual Q between the probe points alpha x_i and
+    alpha x_j from two single-point evaluations; structured_point rejects
+    an index outside 1..d and a nonpositive alpha."""
+    xi = structured_point(i, kind.d, alpha)
+    xj = structured_point(j, kind.d, alpha)
+    ei = value_grad(kind, xi)
+    ej = value_grad(kind, xj)
+    inner = float(ej.gradient @ (xi - xj))
+    dual = float(np.abs(ei.gradient - ej.gradient).sum())
+    return ei.value - ej.value - inner - 0.5 * dual * dual
 
 
 def q_grid_loop(kind, alphas=(0.1, 1.0, 10.0, 100.0)):

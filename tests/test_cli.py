@@ -111,6 +111,13 @@ class TestGammaCommand:
         code, _, err = run_cli(capsys, "gamma", "--dims", "two")
         assert code == 2
 
+    def test_seed_option_exits_2(self, capsys):
+        # gamma draws nothing at random, so it takes no seed
+        with pytest.raises(SystemExit) as exc:
+            main(["gamma", "--dims", "5", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_lse_passes(self, capsys):
@@ -319,6 +326,24 @@ class TestRegretCommand:
         code, out, _ = run_cli(capsys, "regret", "--dim", "4", "--horizon",
                                "200", "--seeds", "2", "--reg", "quad")
         assert code == 0
+
+    def test_overflowing_eta_exits_2_without_numpy_warnings(self):
+        src = os.path.dirname(os.path.dirname(maxsmooth.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def regret_cli(eta):
+            return subprocess.run(
+                [sys.executable, "-m", "maxsmooth.cli", "regret", "--dim", "2",
+                 "--horizon", "10", "--seeds", "1", "--eta", eta],
+                capture_output=True, text=True, env=env, timeout=120)
+
+        proc = regret_cli("1e308")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: eta * horizon must be finite\n"
+        proc = regret_cli("1e307")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == ("seed,regret,bound\n"
+                               "20250808,0.5,3.723297411059034\n")
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     @pytest.mark.parametrize("trace", [False, True])

@@ -7,11 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from maxsmooth.core import (
-    is_simplex_point,
-    project_simplex,
-    project_simplex_rows,
-)
+from maxsmooth.core import project_simplex, project_simplex_rows
 from maxsmooth.regret import (
     ftrl_weights,
     regret_bound,
@@ -19,6 +15,11 @@ from maxsmooth.regret import (
     tuned_eta,
 )
 from maxsmooth.smoothings import SmoothingKind, c_constant, value_grad
+
+
+def is_simplex_point(w, tol):
+    """True if w is nonnegative and sums to 1, both within tol."""
+    return bool(np.all(w >= -tol) and abs(float(w.sum()) - 1.0) <= tol)
 
 
 class TestKindRange:
@@ -193,6 +194,8 @@ class TestCoinflipGame:
             run_coinflip_game(2, 0, seed=0)
         with pytest.raises(ValueError):
             run_coinflip_game(2, 10, seed=0, eta=-1.0)
+        with pytest.raises(ValueError, match="eta \\* horizon must be finite"):
+            run_coinflip_game(2, 10, seed=0, eta=1e308)
 
     def test_rejects_kind_of_another_dimension(self):
         with pytest.raises(ValueError):

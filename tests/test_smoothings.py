@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from maxsmooth.bounds import gamma_value
-from maxsmooth.core import is_simplex_point, sigma_max, structured_point
+from maxsmooth.core import sigma_max, structured_point
 from maxsmooth.smoothings import (
     SmoothingKind,
     c_constant,
@@ -22,6 +22,11 @@ from maxsmooth.smoothings import (
     value_grad,
     value_grad_many,
 )
+
+
+def is_simplex_point(w, tol):
+    """True if w is nonnegative and sums to 1, both within tol."""
+    return bool(np.all(w >= -tol) and abs(float(w.sum()) - 1.0) <= tol)
 
 
 def lse_decimal(xs, prec=60):
@@ -364,8 +369,3 @@ class TestKindValidation:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             SmoothingKind("mellow", 3)
-
-    def test_certification_flag_tracks_threshold(self):
-        assert SmoothingKind.quadratic_custom(4, 4.0).certified_smooth
-        assert not SmoothingKind.quadratic_custom(4, 2.0).certified_smooth
-        assert SmoothingKind.quadratic(4).certified_smooth
