@@ -11,7 +11,12 @@ so a suite run draws that sample once, evaluates it once and scans the
 probe rays for the empirical gap once: private one-entry caches keyed on
 (kind, config) hand the same read-only arrays to each check, and the suite
 clears them when it returns.  The q-grid evaluates its d probe points per
-scale in one batch.  Reports are bitwise those of the standalone checks.
+scale in one batch, the finite-difference check its 2d stencil points and
+the gradient-structure check its scales likewise; the ray half of a sample
+comes from one row-wise shuffle that draws the generator stream of one
+permutation per row.  Reports are bitwise those of the standalone checks
+and of single-point evaluation, because `_point` returns bitwise what
+`_rows` returns and rows are evaluated independently.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +27,7 @@ import math
 import numpy as np
 
 from .bounds import gamma
-from .core import structured_point
+from .core import as_point, structured_point
 from .smoothings import (
     SmoothingKind,
     gap_bound,
@@ -106,9 +111,13 @@ def _sample_points(cfg: SamplerConfig, d: int, rng) -> np.ndarray:
 def _sample_rays(cfg, d, n, rng):
     js = rng.integers(1, d + 1, size=n)
     alphas = cfg.scale * 10.0 ** rng.uniform(-2.0, 2.0, size=n)
-    X = np.zeros((n, d))
-    for row, (j, a) in enumerate(zip(js, alphas)):
-        X[row, rng.permutation(d)[:j]] = a / j
+    # one shuffle of every row draws, in row order, what one
+    # rng.permutation(d) per row draws; row r puts alpha / j on the first j
+    # columns of its permutation and zero on the rest, so every cell is set
+    perms = rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
+    lead = np.where(np.arange(d) < js[:, None], (alphas / js)[:, None], 0.0)
+    X = np.empty((n, d))
+    np.put_along_axis(X, perms, lead, axis=1)
     return X
 
 
@@ -204,6 +213,8 @@ def check_gradient_fd(kind: SmoothingKind, x, h: float = 1e-5,
     projection's active set is compared at x +/- step per coordinate; at a
     seam the check switches to a second-order one-sided stencil taken from
     whichever side keeps the active set of x (exact on quadratic pieces).
+    The 2d points x +/- step are evaluated in one batch; the one-sided
+    points of the few seam coordinates one at a time, only where needed.
     """
     if h < 1e-10:
         raise ValueError("finite-difference step below 1e-10 is all roundoff")
@@ -211,33 +222,35 @@ def check_gradient_fd(kind: SmoothingKind, x, h: float = 1e-5,
     ev = value_grad(kind, x)
     step = h * (1.0 + float(np.abs(x).max()))
     d = kind.d
-
-    def f(p):
-        return value_grad(kind, p).value
-
-    def support(p):
-        if not kind.is_quadratic:
-            return None
-        return tuple(np.nonzero(value_grad(kind, p).gradient > 0.0)[0])
-
-    base_support = support(x)
+    E = np.diag(np.full(d, step))  # row i is step times the i-th unit vector
+    near = np.concatenate([x + E, x - E])
+    as_point(near.ravel())  # a non-finite point raises as value_grad would
+    vals, G = value_grad_many(kind, near)
+    f_plus, f_minus = vals[:d], vals[d:]
+    fd = (f_plus - f_minus) / (2.0 * step)
     kink_coords, skipped = [], []
-    fd = np.zeros(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = step
-        if not kind.is_quadratic or (support(x + e) == base_support
-                                     and support(x - e) == base_support):
-            fd[i] = (f(x + e) - f(x - e)) / (2.0 * step)
-            continue
-        kink_coords.append(i)
-        if support(x + e) == base_support and support(x + 2 * e) == base_support:
-            fd[i] = (-3.0 * f(x) + 4.0 * f(x + e) - f(x + 2 * e)) / (2.0 * step)
-        elif support(x - e) == base_support and support(x - 2 * e) == base_support:
-            fd[i] = (3.0 * f(x) - 4.0 * f(x - e) + f(x - 2 * e)) / (2.0 * step)
-        else:
-            skipped.append(i)
-            fd[i] = ev.gradient[i]
+    if kind.is_quadratic:
+        base = ev.gradient > 0.0
+
+        def one_sided(p):
+            """f(p) if p keeps the active set of x, else None."""
+            at = value_grad(kind, p)
+            return at.value if ((at.gradient > 0.0) == base).all() else None
+
+        same = ((G > 0.0) == base).all(axis=1)
+        plus_ok, minus_ok = same[:d], same[d:]
+        kink_coords = np.flatnonzero(~(plus_ok & minus_ok)).tolist()
+        for i in kink_coords:
+            far = one_sided(x + 2 * E[i]) if plus_ok[i] else None
+            if far is not None:
+                fd[i] = (-3.0 * ev.value + 4.0 * f_plus[i] - far) / (2.0 * step)
+                continue
+            far = one_sided(x - 2 * E[i]) if minus_ok[i] else None
+            if far is not None:
+                fd[i] = (3.0 * ev.value - 4.0 * f_minus[i] + far) / (2.0 * step)
+            else:
+                skipped.append(i)
+                fd[i] = ev.gradient[i]
     err = np.abs(fd - ev.gradient)
     k = int(np.argmax(err))
     worst = float(err[k])
@@ -402,18 +415,18 @@ def check_gradient_structure(kind: SmoothingKind, j: int, alphas,
 
     The gradient must have its first j coordinates equal and its last d-j
     coordinates equal, and the leading block weight must rise toward 1/j
-    as alpha grows.
+    as alpha grows.  The scales are evaluated in one batch.
     """
     d = kind.d
     if not 1 <= j <= d:
         raise ValueError(f"j must lie in 1..{d}")
     alphas = sorted(alphas)
+    points = [structured_point(j, d, a) for a in alphas]
+    G = value_grad_many(kind, np.array(points).reshape(-1, d))[1]
     worst, witness = -math.inf, None
     lam_prev = None
     lams = []
-    for a in alphas:
-        x = structured_point(j, d, a)
-        g = value_grad(kind, x).gradient
+    for x, g in zip(points, G):
         block_dev = float(np.abs(g[:j] - g[:j].mean()).max())
         if j < d:
             block_dev = max(block_dev, float(np.abs(g[j:] - g[j:].mean()).max()))

@@ -313,7 +313,8 @@ def load_problem(source) -> MaxOfSmoothProblem:
     | {"type": "quadratic", "H": [[...]], "a": [...], "b": f}], "L": f,
     "M": f} with optional "optimal_value", "reference_point", "y0", "name".
     Every number must be finite, and a quadratic H symmetric positive
-    semidefinite up to 1e-12 times max(1, largest |entry|).
+    semidefinite with largest eigenvalue at most L, each up to 1e-12 times
+    max(1, largest |entry|).
     """
     if isinstance(source, dict):
         raw = source
@@ -359,9 +360,14 @@ def load_problem(source) -> MaxOfSmoothProblem:
                 tol = 1e-12 * max(1.0, float(np.abs(H).max()))
                 if np.abs(H - H.T).max() > tol:
                     raise ValueError(f"components[{k}].H must be symmetric")
-                if np.linalg.eigvalsh(H)[0] < -tol:
+                eigs = np.linalg.eigvalsh(H)
+                if eigs[0] < -tol:
                     raise ValueError(
                         f"components[{k}].H must be positive semidefinite")
+                if eigs[-1] - L > tol:
+                    raise ValueError(
+                        f"components[{k}].H has largest eigenvalue "
+                        f"{eigs[-1]:.17g} above L = {L:.17g}")
                 comps.append(QuadraticComponent(H=H, a=a, b=b))
             else:
                 raise KeyError(f"unknown component type {entry['type']!r}")

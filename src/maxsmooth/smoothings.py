@@ -24,6 +24,10 @@ QUADRATIC_CUSTOM = "quadc"
 
 _VARIANTS = (LSE, CENTERED_LSE, QUADRATIC, QUADRATIC_CUSTOM)
 
+# cells of one block of value_grad_many; each block's temporaries are a few
+# times this many float64s
+_BLOCK_CELLS = 1 << 16
+
 
 def c_constant(d: int) -> float:
     """Largest ||w||_1^2 / ||w||_2^2 over zero-sum w in R^d.
@@ -159,11 +163,21 @@ def value_grad_many(kind: SmoothingKind, X):
 
     Returns (values, gradients) of shapes (n,) and (n, d).  Entries are not
     checked for finiteness: a non-finite row yields non-finite results.
+    Rows are evaluated in blocks of _BLOCK_CELLS cells (one row at least),
+    so the temporaries stay bounded; rows are independent, so the results
+    are bitwise those of one batch.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != kind.d:
         raise ValueError(f"expected (n, {kind.d}) array, got {X.shape}")
-    return _rows(kind, X)
+    n, step = len(X), max(1, _BLOCK_CELLS // kind.d)
+    if n <= step:
+        return _rows(kind, X)
+    vals, grads = np.empty(n), np.empty(X.shape)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        vals[block], grads[block] = _rows(kind, X[block])
+    return vals, grads
 
 
 def _rows(kind, X):

@@ -94,6 +94,90 @@ def gap_scan_one_batch(kind, alpha_max, cfg):
     return float(dev[k]), P[k], len(P)
 
 
+def sample_rays_loop(cfg, d, n, rng):
+    """Reference ray draw: one rng.permutation(d) per row, in row order."""
+    js = rng.integers(1, d + 1, size=n)
+    alphas = cfg.scale * 10.0 ** rng.uniform(-2.0, 2.0, size=n)
+    X = np.zeros((n, d))
+    for row, (j, a) in enumerate(zip(js, alphas)):
+        X[row, rng.permutation(d)[:j]] = a / j
+    return X
+
+
+def gradient_fd_loop(kind, x, h=1e-5, tol=1e-6):
+    """Reference check_gradient_fd: every stencil point evaluated on its
+    own, the active sets from single-point gradients."""
+    x = np.asarray(x, dtype=np.float64)
+    ev = value_grad(kind, x)
+    step = h * (1.0 + float(np.abs(x).max()))
+    d = kind.d
+
+    def f(p):
+        return value_grad(kind, p).value
+
+    def support(p):
+        if not kind.is_quadratic:
+            return None
+        return tuple(np.nonzero(value_grad(kind, p).gradient > 0.0)[0])
+
+    base_support = support(x)
+    kink_coords, skipped = [], []
+    fd = np.zeros(d)
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = step
+        if not kind.is_quadratic or (support(x + e) == base_support
+                                     and support(x - e) == base_support):
+            fd[i] = (f(x + e) - f(x - e)) / (2.0 * step)
+            continue
+        kink_coords.append(i)
+        if support(x + e) == base_support and support(x + 2 * e) == base_support:
+            fd[i] = (-3.0 * f(x) + 4.0 * f(x + e) - f(x + 2 * e)) / (2.0 * step)
+        elif support(x - e) == base_support and support(x - 2 * e) == base_support:
+            fd[i] = (3.0 * f(x) - 4.0 * f(x - e) + f(x - 2 * e)) / (2.0 * step)
+        else:
+            skipped.append(i)
+            fd[i] = ev.gradient[i]
+    err = np.abs(fd - ev.gradient)
+    k = int(np.argmax(err))
+    worst = float(err[k])
+    return CertReport(
+        name=f"gradient_fd[{kind.label()}]", samples=d - len(skipped),
+        worst_violation=worst, witness=x, passed=worst <= tol, tolerance=tol,
+        details={"kink_coordinates": kink_coords, "skipped_coordinates": skipped,
+                 "step": step, "worst_coordinate": k})
+
+
+def gradient_structure_loop(kind, j, alphas, tol=1e-9):
+    """Reference check_gradient_structure: one value_grad per scale."""
+    d = kind.d
+    alphas = sorted(alphas)
+    worst, witness, lam_prev, lams = -math.inf, None, None, []
+    for a in alphas:
+        x = structured_point(j, d, a)
+        g = value_grad(kind, x).gradient
+        block_dev = float(np.abs(g[:j] - g[:j].mean()).max())
+        if j < d:
+            block_dev = max(block_dev, float(np.abs(g[j:] - g[j:].mean()).max()))
+        lam = float(g[:j].mean())
+        lams.append(lam)
+        viol = max(block_dev, lam - 1.0 / j)
+        if lam_prev is not None:
+            viol = max(viol, lam_prev - lam)
+        lam_prev = lam
+        if viol > worst:
+            worst, witness = viol, x
+    return CertReport(
+        name=f"gradient_structure[{kind.label()},j={j}]", samples=len(alphas),
+        worst_violation=float(worst), witness=witness, passed=worst <= tol,
+        tolerance=tol, details={"block_weights": lams, "alphas": list(alphas)})
+
+
+def all_kinds(d):
+    return [SmoothingKind.lse(d), SmoothingKind.centered_lse(d),
+            SmoothingKind.quadratic(d), SmoothingKind.quadratic_custom(d, 7.5)]
+
+
 class TestSamplerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -102,6 +186,19 @@ class TestSamplerConfig:
             SamplerConfig(seed=1, scale=0.0)
         with pytest.raises(ValueError):
             SamplerConfig(seed=1, distribution="cauchy")
+
+
+class TestRaySampler:
+    @pytest.mark.parametrize("d", [1, 2, 90, 300])
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    def test_draw_and_stream_equal_per_row_loop(self, d, n):
+        cfg = SamplerConfig(seed=0, scale=2.5, distribution="structured-rays")
+        for seed in (0, 17, 20250808):
+            rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+            X = certify._sample_rays(cfg, d, n, rng)
+            ref = sample_rays_loop(cfg, d, n, ref_rng)
+            assert X.shape == ref.shape and X.tobytes() == ref.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSmoothnessCertificate:
@@ -168,6 +265,64 @@ class TestGradientFiniteDifference:
             for _ in range(5):
                 x = rng.standard_normal(kind.d) * 2
                 assert check_gradient_fd(kind, x, tol=1e-6).passed
+
+
+class TestBatchedChecksEqualLoops:
+    @staticmethod
+    def fd_points(kind):
+        d, rng = kind.d, np.random.default_rng(kind.d)
+        points = [np.zeros(d), rng.standard_normal(d), 3 * rng.standard_normal(d)]
+        if kind.is_quadratic and d > 1:
+            # coordinates 1.. sit exactly on the edge of the active set {0}:
+            # x - e_0 pulls them all in (forward stencil for 0), x + e_i pulls
+            # i in (backward stencil for i)
+            seam = np.full(d, -kind.regularizer_weight)
+            seam[0] = 0.0
+            points.append(seam)
+        return points
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 55])
+    def test_gradient_fd(self, d):
+        seams = 0
+        for kind in all_kinds(d):
+            for x in self.fd_points(kind):
+                report = check_gradient_fd(kind, x)
+                assert report.to_dict() == gradient_fd_loop(kind, x).to_dict()
+                seams += bool(report.details["kink_coordinates"])
+        assert seams == (2 if d > 1 else 0)
+
+    @pytest.mark.parametrize("kind", all_kinds(2), ids=lambda k: k.label())
+    def test_gradient_fd_at_the_edge_of_the_floats(self, kind):
+        # x +/- 2 step overflows at +/-big while x +/- step does not; the
+        # loop evaluates x + 2 step only on the side of a quad seam that
+        # keeps the active set, as at the near tie [big, big - 1e303], there
+        # raising, and so must the batch; at the ties both sides change it,
+        # so nothing raises; the largest float overflows at x + step already
+        big = 1.79767e308
+        points = ([big, 0.0], [big, big], [-big, -big], [big, big - 1e303],
+                  [1.7976931348623157e308, 0.0])
+        raised = []
+        for x in points:
+            with np.errstate(over="ignore"):
+                try:
+                    expected = gradient_fd_loop(kind, x).to_dict()
+                except ValueError as exc:
+                    raised.append(x)
+                    with pytest.raises(ValueError, match=str(exc)):
+                        check_gradient_fd(kind, x)
+                else:
+                    assert check_gradient_fd(kind, x).to_dict() == expected
+        assert raised == ([points[3], points[4]] if kind.is_quadratic
+                          else [points[4]])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 55])
+    def test_gradient_structure(self, d):
+        for kind in all_kinds(d):
+            for j in range(1, d + 1):
+                for alphas in ((0.5, 1.0, 10.0, 100.0), (100, 0.5, 3)):
+                    report = check_gradient_structure(kind, j, alphas)
+                    ref = gradient_structure_loop(kind, j, alphas)
+                    assert report.to_dict() == ref.to_dict()
 
 
 class TestGradInSimplex:

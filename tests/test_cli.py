@@ -37,12 +37,13 @@ def instance_path(name):
 
 
 def stiff_instance(tmp_path):
-    """L = 0 understates H = 1e6 I, so a constant-step solve diverges."""
+    """A valid L but M = 1 understates gradients near 1e300, so the first
+    constant step overshoots and the values overflow."""
     path = tmp_path / "stiff.json"
     path.write_text(json.dumps({
-        "n": 2, "L": 0.0, "M": 1.0, "y0": [1.0, -1.0], "components": [
+        "n": 2, "L": 1e6, "M": 1.0, "y0": [1.0, -1.0], "components": [
             {"type": "quadratic", "H": [[1e6, 0.0], [0.0, 1e6]], "a": a,
-             "b": 0.0} for a in ([1.0, 0.0], [0.0, 1.0])]}))
+             "b": 0.0} for a in ([1e300, 0.0], [0.0, 1e300])]}))
     return path
 
 

@@ -29,11 +29,21 @@ from maxsmooth.smoothings import (
 )
 
 
-# L = 0 understates the curvature H = 1e6 I, so the constant step
-# overshoots and the iterates grow until the scaled values overflow
+# L = 0 understates the curvature H = 1e6 I: load_problem rejects the file,
+# and built directly the problem makes the constant step overshoot, so the
+# iterates grow until the scaled values overflow
 STIFF = {"n": 2, "L": 0.0, "M": 1.0, "y0": [1.0, -1.0], "components": [
     {"type": "quadratic", "H": [[1e6, 0.0], [0.0, 1e6]], "a": a, "b": 0.0}
     for a in ([1.0, 0.0], [0.0, 1.0])]}
+
+
+def stiff_problem():
+    """STIFF built directly, bypassing the file checks."""
+    comps = [QuadraticComponent(H=np.array(c["H"]), a=np.array(c["a"]),
+                                b=c["b"]) for c in STIFF["components"]]
+    return MaxOfSmoothProblem(components=comps, n=2, L=STIFF["L"],
+                              M=STIFF["M"], y0=np.array(STIFF["y0"]))
+
 
 # |f| near 1e8: rounding alone moves a 1e-6 central difference by ~1e-3
 BIG_AFFINE = {"n": 2, "L": 0.0, "M": 2e8, "components": [
@@ -210,7 +220,22 @@ class TestProblemLoading:
         problem = load_problem({"n": 8, "L": 30.0, "M": 1.0,
                                 "components": comps})
         assert problem.d == 2
-        load_problem(STIFF)
+
+    def test_declared_L_below_curvature_rejected(self):
+        with pytest.raises(ProblemSchemaError,
+                           match=r"components\[0\].H has largest eigenvalue "
+                                 r"1000000 above L = 0"):
+            load_problem(STIFF)
+        # within the PSD check's tolerance 1e-12 * 1e6 of lambda_max, or
+        # above it, L is accepted; beyond the tolerance below, rejected
+        for L, ok in ((1e6, True), (1e6 - 5e-7, True), (2e6, True),
+                      (1e6 - 1e-5, False)):
+            raw = dict(STIFF, L=L)
+            if ok:
+                assert load_problem(raw).L == L
+            else:
+                with pytest.raises(ProblemSchemaError, match="above L"):
+                    load_problem(raw)
 
     @pytest.mark.parametrize("raw", [BIG_AFFINE, BIG_QUADRATIC])
     def test_large_coefficients_load(self, raw):
@@ -349,7 +374,7 @@ class TestSolveSmoothed:
                                       np.array(expected))
 
     def test_overflow_stops_as_diverged(self):
-        trace = solve_smoothed(load_problem(STIFF), 1e-3,
+        trace = solve_smoothed(stiff_problem(), 1e-3,
                                SmoothingKind.centered_lse(2), max_iter=5000)
         assert trace.stop_reason == "diverged"
         assert trace.iterations < 5000

@@ -13,7 +13,9 @@ from hypothesis.extra import numpy as hnp
 from maxsmooth.bounds import gamma_value
 from maxsmooth.core import sigma_max, structured_point
 from maxsmooth.smoothings import (
+    _BLOCK_CELLS,
     SmoothingKind,
+    _rows,
     c_constant,
     center_offset,
     deviation_interval,
@@ -332,6 +334,20 @@ class TestSampledContracts:
                     np.testing.assert_array_equal(grads[i], ev.gradient)
                     np.testing.assert_array_equal(np.signbit(grads[i]),
                                                   np.signbit(ev.gradient))
+
+    @pytest.mark.parametrize("d", [7, 300])
+    def test_blocked_batch_is_one_batch(self, d):
+        step = _BLOCK_CELLS // d
+        rng = np.random.default_rng(d)
+        for kind in (SmoothingKind.lse(d), SmoothingKind.centered_lse(d),
+                     SmoothingKind.quadratic(d),
+                     SmoothingKind.quadratic_custom(d, 2.5)):
+            for n in (step - 1, step, step + 1, 3 * step + 5):
+                X = rng.standard_normal((n, d))
+                vals, grads = value_grad_many(kind, X)
+                ref_vals, ref_grads = _rows(kind, X)
+                assert vals.tobytes() == ref_vals.tobytes()
+                assert grads.tobytes() == ref_grads.tobytes()
 
     @given(hnp.arrays(np.float64, st.integers(1, 6).map(lambda d: (d,)),
                       elements=st.floats(-50, 50)),
