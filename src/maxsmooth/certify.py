@@ -6,21 +6,16 @@ with the witness attaining it.  Negative slack means the inequality holds
 with room to spare; a report passes iff the worst violation stays at or
 below its recorded tolerance.
 
-Every check that samples from a config starts from the same fresh-seed draw,
-so a suite run draws that sample once, evaluates it once and scans the
-probe rays for the empirical gap once: private one-entry caches keyed on
-(kind, config) hand the same read-only arrays to each check, and the suite
-clears them when it returns.  The q-grid evaluates its d probe points per
-scale in one batch, the finite-difference check its 2d stencil points and
-the gradient-structure check its scales likewise; the ray half of a sample
-comes from one row-wise shuffle that draws the generator stream of one
-permutation per row.  Reports are bitwise those of the standalone checks
-and of single-point evaluation, because `_point` returns bitwise what
-`_rows` returns and rows are evaluated independently.
+A suite run draws its sample once, evaluates it once and passes it to
+each sampled check; a standalone check draws and evaluates its own.  Probe
+points, finite-difference stencils and structure scales are evaluated in
+batches, and the ray half of a sample comes from one row-wise shuffle that
+draws the generator stream of one permutation per row.  Reports are
+bitwise those of single-point evaluation, because `_point` returns
+bitwise what `_rows` returns and rows are evaluated independently.
 """
 
 from dataclasses import dataclass, field
-import functools
 import json
 import math
 
@@ -121,44 +116,30 @@ def _sample_rays(cfg, d, n, rng):
     return X
 
 
-@functools.lru_cache(maxsize=1)
-def _fresh_sample(cfg: SamplerConfig, d: int):
-    """The sample drawn from default_rng(cfg.seed), read-only, and the
-    generator state right after the draw."""
-    rng = np.random.default_rng(cfg.seed)
-    X = _sample_points(cfg, d, rng)
-    X.flags.writeable = False
-    return X, rng.bit_generator.state
-
-
-def _sample_and_rng(cfg: SamplerConfig, d: int):
-    """The fresh-seed sample and a generator continuing after its draw."""
-    X, state = _fresh_sample(cfg, d)
-    rng = np.random.default_rng(cfg.seed)
-    rng.bit_generator.state = state
-    return X, rng
-
-
-@functools.lru_cache(maxsize=1)
 def _evaluated_sample(kind: SmoothingKind, cfg: SamplerConfig):
-    """The fresh-seed sample with its values and gradients, all read-only.
+    """(X, values, gradients, state): the sample drawn from
+    default_rng(cfg.seed), its evaluation and the generator state right
+    after the draw.
 
     Rows are evaluated independently, so they are bitwise the rows of any
     batch the sample is part of.
     """
-    X = _fresh_sample(cfg, kind.d)[0]
+    rng = np.random.default_rng(cfg.seed)
+    X = _sample_points(cfg, kind.d, rng)
     vals, G = value_grad_many(kind, X)
-    vals.flags.writeable = G.flags.writeable = False
-    return X, vals, G
+    return X, vals, G, rng.bit_generator.state
 
 
-def _sample_pairs(cfg: SamplerConfig, d: int):
-    """Pairs (x, y): mostly nearby perturbations, every fourth independent.
+def _sample_pairs(cfg: SamplerConfig, X, state):
+    """The partners Y of the sample X: mostly nearby perturbations, every
+    fourth independent, drawn from the generator state after X.
 
     Close pairs are the discriminating ones for gradient-Lipschitz checks;
     far pairs guard the large-separation regime.
     """
-    X, rng = _sample_and_rng(cfg, d)
+    rng = np.random.default_rng(cfg.seed)
+    rng.bit_generator.state = state
+    d = X.shape[1]
     rho = cfg.scale * 10.0 ** rng.uniform(-3.0, 0.5, size=cfg.count)
     U = rng.standard_normal((cfg.count, d))
     independent = np.arange(cfg.count) % 4 == 0
@@ -168,7 +149,31 @@ def _sample_pairs(cfg: SamplerConfig, d: int):
             SamplerConfig(seed=cfg.seed, count=int(independent.sum()),
                           scale=cfg.scale, distribution=cfg.distribution),
             d, rng)
-    return X, Y
+    return Y
+
+
+def _check_tolerance(name, value):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    if value < 0.0:
+        raise ValueError(f"{name} must be nonnegative")
+
+
+def _worst_row(name, kind, cfg, viol, X, tol, **details):
+    """Report of the first maximum of a per-row violation, witnessed by a
+    copy of its row of the sample X."""
+    k = int(np.argmax(viol))
+    worst = float(viol[k])
+    return CertReport(
+        name=f"{name}[{kind.label()}]",
+        samples=cfg.count,
+        worst_violation=worst,
+        witness=X[k].copy(),
+        passed=worst <= tol,
+        tolerance=tol,
+        seed=cfg.seed,
+        details=details,
+    )
 
 
 def check_smoothness(kind: SmoothingKind, cfg: SamplerConfig,
@@ -178,8 +183,12 @@ def check_smoothness(kind: SmoothingKind, cfg: SamplerConfig,
     The violation is normalized by max(1, ||x-y||_inf); coincident pairs
     are skipped as trivially satisfied.
     """
-    X, Y = _sample_pairs(cfg, kind.d)
-    GX = _evaluated_sample(kind, cfg)[2]
+    return _smoothness(kind, cfg, tol, _evaluated_sample(kind, cfg))
+
+
+def _smoothness(kind, cfg, tol, sample):
+    X, _, GX, state = sample
+    Y = _sample_pairs(cfg, X, state)
     # both differences overwrite the fresh gradients of Y, so no count x d
     # temporaries stand beside the sample and its gradients
     _, D = value_grad_many(kind, Y)
@@ -269,19 +278,13 @@ def check_gradient_fd(kind: SmoothingKind, x, h: float = 1e-5,
 def check_grad_in_simplex(kind: SmoothingKind, cfg: SamplerConfig,
                           tol: float = 1e-9) -> CertReport:
     """All sampled gradients are nonnegative and sum to one within tol."""
-    X, _, G = _evaluated_sample(kind, cfg)
+    return _grad_in_simplex(kind, cfg, tol, _evaluated_sample(kind, cfg))
+
+
+def _grad_in_simplex(kind, cfg, tol, sample):
+    X, _, G, _ = sample
     viol = np.maximum(-G.min(axis=1), np.abs(G.sum(axis=1) - 1.0))
-    k = int(np.argmax(viol))
-    worst = float(viol[k])
-    return CertReport(
-        name=f"grad_in_simplex[{kind.label()}]",
-        samples=cfg.count,
-        worst_violation=worst,
-        witness=X[k].copy(),
-        passed=worst <= tol,
-        tolerance=tol,
-        seed=cfg.seed,
-    )
+    return _worst_row("grad_in_simplex", kind, cfg, viol, X, tol)
 
 
 def q_certificate_grid(kind: SmoothingKind, alphas=(0.1, 1.0, 10.0, 100.0),
@@ -334,20 +337,14 @@ def check_expectation_guarantee(kind: SmoothingKind, delta: float,
                                 cfg: SamplerConfig,
                                 tol: float = 1e-9) -> CertReport:
     """<grad f(x), x> >= sigma_max(x) - 2*delta on every sample."""
-    X, _, G = _evaluated_sample(kind, cfg)
+    return _expectation(kind, delta, cfg, tol, _evaluated_sample(kind, cfg))
+
+
+def _expectation(kind, delta, cfg, tol, sample):
+    X, _, G, _ = sample
     viol = X.max(axis=1) - 2.0 * delta - (G * X).sum(axis=1)
-    k = int(np.argmax(viol))
-    worst = float(viol[k])
-    return CertReport(
-        name=f"expectation_guarantee[{kind.label()}]",
-        samples=cfg.count,
-        worst_violation=worst,
-        witness=X[k].copy(),
-        passed=worst <= tol,
-        tolerance=tol,
-        seed=cfg.seed,
-        details={"delta": delta},
-    )
+    return _worst_row("expectation_guarantee", kind, cfg, viol, X, tol,
+                      delta=delta)
 
 
 def empirical_gap(kind: SmoothingKind, alpha_max: float,
@@ -361,15 +358,19 @@ def empirical_gap(kind: SmoothingKind, alpha_max: float,
     """
     if not 0.0 < alpha_max < math.inf:
         raise ValueError("alpha_max must be positive and finite")
-    if not math.isfinite(tol):
-        raise ValueError("tol must be finite")
-    estimate, witness, samples = _gap_scan(kind, alpha_max, cfg)
+    _check_tolerance("tol", tol)
+    return _empirical_gap(kind, alpha_max, cfg, tol,
+                          _evaluated_sample(kind, cfg))
+
+
+def _empirical_gap(kind, alpha_max, cfg, tol, sample):
+    estimate, witness, samples = _gap_scan(kind, alpha_max, sample)
     bound = max_deviation(kind)
     return CertReport(
         name=f"empirical_gap[{kind.label()}]",
         samples=samples,
         worst_violation=estimate - bound,
-        witness=witness.copy(),
+        witness=witness,
         passed=estimate - bound <= tol,
         tolerance=tol,
         seed=cfg.seed,
@@ -378,9 +379,8 @@ def empirical_gap(kind: SmoothingKind, alpha_max: float,
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _gap_scan(kind: SmoothingKind, alpha_max: float, cfg: SamplerConfig):
-    """(estimate, read-only witness, samples) of the empirical_gap scan.
+def _gap_scan(kind: SmoothingKind, alpha_max: float, sample):
+    """(estimate, witness, samples) of the empirical_gap scan.
 
     The origin, the 80 scales of each probe ray and the sample are scanned
     in that order, one ray per batch, so memory is O(80 d), not O(80 d^2).
@@ -401,11 +401,10 @@ def _gap_scan(kind: SmoothingKind, alpha_max: float, cfg: SamplerConfig):
         return dev[k], P[k].copy()
 
     best = [worst(P, value_grad_many(kind, P)[0]) for P in rays()]
-    X, vals, _ = _evaluated_sample(kind, cfg)
+    X, vals = sample[:2]
     best.append(worst(X, vals))
     # the first maximum of the whole scan, as one argmax over it would pick
     estimate, witness = best[int(np.argmax([dev for dev, _ in best]))]
-    witness.flags.writeable = False
     return float(estimate), witness, 1 + 80 * d + len(X)
 
 
@@ -452,24 +451,19 @@ def check_gradient_structure(kind: SmoothingKind, j: int, alphas,
 def check_permutation_invariance(kind: SmoothingKind, cfg: SamplerConfig,
                                  tol: float = 1e-9) -> CertReport:
     """f(Px) = f(x) and grad f(Px) = P grad f(x), one random P per sample."""
-    X, rng = _sample_and_rng(cfg, kind.d)
+    return _permutation(kind, cfg, tol, _evaluated_sample(kind, cfg))
+
+
+def _permutation(kind, cfg, tol, sample):
+    X, vals, G, state = sample
+    rng = np.random.default_rng(cfg.seed)
+    rng.bit_generator.state = state
     perms = np.argsort(rng.random((cfg.count, kind.d)), axis=1)
     Xp = np.take_along_axis(X, perms, axis=1)
-    _, vals, G = _evaluated_sample(kind, cfg)
     vals_p, Gp = value_grad_many(kind, Xp)
     viol = np.maximum(np.abs(vals_p - vals),
                       np.abs(Gp - np.take_along_axis(G, perms, axis=1)).max(axis=1))
-    k = int(np.argmax(viol))
-    worst = float(viol[k])
-    return CertReport(
-        name=f"permutation_invariance[{kind.label()}]",
-        samples=cfg.count,
-        worst_violation=worst,
-        witness=X[k].copy(),
-        passed=worst <= tol,
-        tolerance=tol,
-        seed=cfg.seed,
-    )
+    return _worst_row("permutation_invariance", kind, cfg, viol, X, tol)
 
 
 def telescoping_sum(kind: SmoothingKind, indices, alpha: float) -> float:
@@ -494,9 +488,13 @@ def telescoping_certificate(kind: SmoothingKind, cfg: SamplerConfig,
     budget (the block weights converge at rate 1/alpha).  The sum must
     also come out near the maximal partition value itself.
     """
+    gap_est = empirical_gap(kind, alpha, cfg).details["estimate"]
+    return _telescoping(kind, cfg, alpha, gap_est)
+
+
+def _telescoping(kind, cfg, alpha, gap_est):
     cert = gamma(kind.d)
     total = telescoping_sum(kind, cert.indices, alpha)
-    gap_est = empirical_gap(kind, alpha, cfg).details["estimate"]
     budget = 10.0 / alpha
     worst = max(total - gap_est, cert.value - total)
     return CertReport(
@@ -518,29 +516,26 @@ def run_certificate_suite(kind: SmoothingKind, seed: int = 20250808,
                           tol: float = 1e-9, tol_fd: float = 1e-6) -> list:
     """The full deterministic certificate battery for one smoothing kind.
 
-    The sampled checks share one draw, one evaluation of it and one gap
-    scan; the shared arrays are released when the suite returns.  The
-    tolerances must be finite: an infinite one would pass every check.
+    The sampled checks share one draw and one evaluation of it, and the
+    telescoping check takes the empirical gap's estimate.  The tolerances
+    must be finite, since an infinite one would pass every check, and
+    nonnegative, since a negative one would fail every check.
     """
     for name, value in (("tol", tol), ("tol_smooth", tol_smooth),
                         ("tol_fd", tol_fd)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
+        _check_tolerance(name, value)
     d = kind.d
     cfg = SamplerConfig(seed=seed, count=count, scale=1.0, distribution="mixed")
-    try:
-        reports = [
-            check_smoothness(kind, cfg, tol=tol_smooth),
-            check_grad_in_simplex(kind, cfg, tol=tol),
-            q_certificate_grid(kind, tol=tol),
-            check_expectation_guarantee(kind, gap_bound(kind), cfg, tol=tol),
-            empirical_gap(kind, 1e4, cfg, tol=tol),
-            check_permutation_invariance(kind, cfg, tol=tol),
-            telescoping_certificate(kind, cfg),
-        ]
-    finally:
-        for cached in (_fresh_sample, _evaluated_sample, _gap_scan):
-            cached.cache_clear()
+    sample = _evaluated_sample(kind, cfg)
+    reports = [
+        _smoothness(kind, cfg, tol_smooth, sample),
+        _grad_in_simplex(kind, cfg, tol, sample),
+        q_certificate_grid(kind, tol=tol),
+        _expectation(kind, gap_bound(kind), cfg, tol, sample),
+        _empirical_gap(kind, 1e4, cfg, tol, sample),
+        _permutation(kind, cfg, tol, sample),
+    ]
+    reports.append(_telescoping(kind, cfg, 1e4, reports[4].details["estimate"]))
     rng = np.random.default_rng(seed + 2)
     for x in rng.standard_normal((3, d)):
         reports.append(check_gradient_fd(kind, x, tol=tol_fd))

@@ -314,7 +314,9 @@ def load_problem(source) -> MaxOfSmoothProblem:
     "M": f} with optional "optimal_value", "reference_point", "y0", "name".
     Every number must be finite, and a quadratic H symmetric positive
     semidefinite with largest eigenvalue at most L, each up to 1e-12 times
-    max(1, largest |entry|).
+    max(1, largest |entry|).  An affine a must have Euclidean norm at most
+    M, up to 1e-12 times max(1, M); for a quadratic component M is only a
+    local bound and is not checked.
     """
     if isinstance(source, dict):
         raw = source
@@ -349,6 +351,11 @@ def load_problem(source) -> MaxOfSmoothProblem:
                 raise KeyError(f"component 'a' must have length {n}")
             b = finite(f"components[{k}].b", float(entry["b"]))
             if entry["type"] == "affine":
+                norm = float(np.linalg.norm(a))
+                if norm - M > 1e-12 * max(1.0, M):
+                    raise ValueError(
+                        f"components[{k}].a has norm {norm:.17g} "
+                        f"above M = {M:.17g}")
                 comps.append(AffineComponent(a=a, b=b))
             elif entry["type"] == "quadratic":
                 H = finite(f"components[{k}].H",

@@ -137,10 +137,14 @@ class SmoothingKind:
         """Row-wise argmax over the simplex of <lam, z> - h(lam).
 
         The softmax for the entropy, the simplex projection of Z / c for the
-        quadratic; unvalidated (n, d) input.
+        quadratic; unvalidated (n, d) input.  The projection is taken of the
+        max-anchored rows, as it is invariant under constant shifts and at
+        a large scale the unanchored rows lose the simplex to rounding.
         """
         if self.is_quadratic:
-            return project_simplex_rows(Z / self.regularizer_weight)
+            V = Z - Z.max(axis=1, keepdims=True)
+            V /= self.regularizer_weight
+            return project_simplex_rows(V)
         return _lse_rows(Z)[1]
 
     def label(self) -> str:

@@ -4,6 +4,7 @@ finite differences, and the telescoping witness."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,15 +39,6 @@ from maxsmooth.smoothings import (
 CFG = SamplerConfig(seed=42, count=2000, scale=1.0, distribution="mixed")
 
 
-def certify_caches():
-    return [v for v in vars(certify).values() if hasattr(v, "cache_clear")]
-
-
-def clear_caches():
-    for cache in certify_caches():
-        cache.cache_clear()
-
-
 def q_certificate(kind, i, j, alpha):
     """Smooth-convexity residual Q between the probe points alpha x_i and
     alpha x_j from two single-point evaluations; structured_point rejects
@@ -79,15 +71,14 @@ def q_grid_loop(kind, alphas=(0.1, 1.0, 10.0, 100.0)):
     return worst, witness, max(n, 1)
 
 
-def gap_scan_one_batch(kind, alpha_max, cfg):
-    """Reference empirical_gap scan: every probe ray and sample point in
+def gap_scan_one_batch(kind, alpha_max, X):
+    """Reference empirical_gap scan: every probe ray and the sample X in
     one batch, the first maximum of |f - max| as the witness."""
     d = kind.d
     alphas = np.geomspace(1e-3, alpha_max, 80)
     rays = np.zeros((1 + 80 * d, d))
     for j in range(1, d + 1):
         rays[1 + 80 * (j - 1):1 + 80 * j, :j] = (alphas / j)[:, None]
-    X = certify._fresh_sample(cfg, d)[0]
     P = np.vstack([rays, X])
     dev = np.abs(value_grad_many(kind, P)[0] - P.max(axis=1))
     k = int(np.argmax(dev))
@@ -437,13 +428,12 @@ class TestEmpiricalGap:
     def test_scan_equals_one_batch(self, text, d, alpha_max):
         kind = SmoothingKind.parse(text, d)
         cfg = SamplerConfig(seed=d, count=300, scale=3.0, distribution="mixed")
-        clear_caches()
-        estimate, witness, samples = certify._gap_scan(kind, alpha_max, cfg)
+        sample = certify._evaluated_sample(kind, cfg)
+        estimate, witness, samples = certify._gap_scan(kind, alpha_max, sample)
         ref_estimate, ref_witness, ref_samples = gap_scan_one_batch(
-            kind, alpha_max, cfg)
+            kind, alpha_max, sample[0])
         assert estimate == ref_estimate and samples == ref_samples
         np.testing.assert_array_equal(witness, ref_witness)
-        clear_caches()
 
     def test_uncentered_range_shows_beyond_three(self):
         # at d >= 4 the attained deviation exceeds the reported half-range
@@ -535,8 +525,6 @@ class TestSuiteAndReports:
         ids=lambda k: k.label())
     def test_suite_reports_equal_standalone_checks(self, kind):
         reports = run_certificate_suite(kind, seed=7, count=1000)
-        assert all(c.cache_info().currsize == 0 for c in certify_caches()
-                   if c.__module__ == certify.__name__)
         cfg = SamplerConfig(seed=7, count=1000, distribution="mixed")
         checks = [
             lambda: check_smoothness(kind, cfg, tol=1e-8),
@@ -548,7 +536,6 @@ class TestSuiteAndReports:
             lambda: telescoping_certificate(kind, cfg),
         ]
         for report, check in zip(reports, checks):
-            clear_caches()
             assert report.to_dict() == check().to_dict(), report.name
 
     def test_mutating_a_witness_leaves_the_next_check_alone(self):
@@ -560,7 +547,6 @@ class TestSuiteAndReports:
             lambda: empirical_gap(kind, 1e4, CFG),
             lambda: check_permutation_invariance(kind, CFG),
         ]
-        clear_caches()
         for check in checks:
             report = check()
             expected = report.to_dict()
@@ -568,6 +554,37 @@ class TestSuiteAndReports:
                       else (report.witness,)):
                 w[:] = 1e6
             assert check().to_dict() == expected
+
+    @pytest.mark.parametrize("seed,check", [
+        (5, lambda kind, cfg: check_smoothness(kind, cfg)),
+        (6, lambda kind, cfg: empirical_gap(kind, 1e4, cfg))],
+        ids=["smoothness", "empirical_gap"])
+    def test_standalone_check_retains_no_sample(self, seed, check):
+        # the 20000 x 100 sample and its gradients are 32 MB; once the
+        # check returns, only its report may stay allocated
+        kind = SmoothingKind.lse(100)
+        cfg = SamplerConfig(seed=seed, count=20_000, distribution="mixed")
+        tracemalloc.start()
+        try:
+            report = check(kind, cfg)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert retained < 2 * 2**20
+
+    @pytest.mark.parametrize("name", ["tol", "tol_smooth", "tol_fd"])
+    @pytest.mark.parametrize("value,message", [
+        (math.nan, "must be finite"), (math.inf, "must be finite"),
+        (-1e-300, "must be nonnegative"), (-1.0, "must be nonnegative")])
+    def test_suite_rejects_bad_tolerance(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{name} {message}$"):
+            run_certificate_suite(SmoothingKind.lse(2), count=10,
+                                  **{name: value})
+        if name == "tol":
+            with pytest.raises(ValueError, match=f"^tol {message}$"):
+                empirical_gap(SmoothingKind.lse(2), 1e4,
+                              SamplerConfig(seed=1, count=10), tol=value)
 
     def test_report_pass_consistency(self):
         report = CertReport(name="x", samples=1, worst_violation=-1.0,

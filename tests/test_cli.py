@@ -213,6 +213,15 @@ class TestSolveCommand:
         assert err.startswith("error: bad problem schema: ")
         assert "components[0].a must be finite" in err
 
+    def test_understated_affine_M_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "small_m.json"
+        bad.write_text(json.dumps({"n": 2, "L": 0.0, "M": 1.0, "components": [
+            {"type": "affine", "a": [3.0, 4.0], "b": 0.0}]}))
+        code, out, err = run_cli(capsys, "solve", "--problem", str(bad))
+        assert code == 2 and out == ""
+        assert err == ("error: bad problem schema: components[0].a has norm 5 "
+                       "above M = 1\n")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--problem", "/no/such.json")
         assert code == 2
@@ -365,6 +374,10 @@ class TestRegretCommand:
     (("gap", "--tol", "inf"), "tol must be finite"),
     (("verify", "--count", "100", "--tol", "nan"), "tol must be finite"),
     (("verify", "--count", "100", "--tol", "inf"), "tol must be finite"),
+    (("gap", "--tol", "-1"), "tol must be nonnegative"),
+    (("verify", "--count", "100", "--tol", "-1"), "tol must be nonnegative"),
+    (("verify", "--count", "100", "--tol=-1e-300"),
+     "tol must be nonnegative"),
     (("regret", "--horizon", "10", "--seeds", "1", "--eta", "nan"),
      "eta must be positive and finite"),
     (("regret", "--horizon", "10", "--seeds", "1", "--eta", "inf"),

@@ -237,6 +237,24 @@ class TestProblemLoading:
                 with pytest.raises(ProblemSchemaError, match="above L"):
                     load_problem(raw)
 
+    def test_declared_M_below_affine_norm_rejected(self):
+        raw = {"n": 2, "L": 0.0, "components": [
+            {"type": "affine", "a": [1.0, 0.0], "b": 0.0},
+            {"type": "affine", "a": [3.0, 4.0], "b": 1.0}]}
+        # within 1e-12 * M of the largest norm 5, or above it, M is
+        # accepted; beyond the tolerance below, rejected
+        for M, ok in ((5.0, True), (5.0 - 4e-12, True), (6.0, True),
+                      (5.0 - 1e-10, False), (1.0, False)):
+            if ok:
+                assert load_problem(dict(raw, M=M)).M == M
+            else:
+                with pytest.raises(ProblemSchemaError,
+                                   match=r"components\[1\].a has norm 5 "
+                                         r"above M = "):
+                    load_problem(dict(raw, M=M))
+        # for a quadratic component M is a local bound: not checked
+        assert load_problem(dict(STIFF, L=1e6, M=1e-3)).M == 1e-3
+
     @pytest.mark.parametrize("raw", [BIG_AFFINE, BIG_QUADRATIC])
     def test_large_coefficients_load(self, raw):
         assert load_problem(raw).d == 2

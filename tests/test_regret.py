@@ -59,19 +59,32 @@ class TestFtrlWeights:
     def test_quadratic_is_projection(self):
         kind = SmoothingKind.quadratic(3)
         L = np.array([1.0, 3.0, 0.5])
-        eta = 0.2
+        z = -0.2 * L
         np.testing.assert_array_equal(
-            ftrl_weights(kind, L, eta),
-            project_simplex(-eta * L / kind.regularizer_weight))
-        # a whole game at once: the leader projects -eta L / c as it is,
-        # not the max-anchored rows that the smoothing kernel projects
+            ftrl_weights(kind, L, 0.2),
+            project_simplex((z - z.max()) / kind.regularizer_weight))
+        # a whole game at once: the leader projects the max-anchored rows
+        # of -eta L / c, as the smoothing kernel does
         d = 37
         trace = run_coinflip_game(d, 200, seed=4,
                                   kind=SmoothingKind.quadratic(d))
         L = np.vstack([np.zeros(d), np.cumsum(trace.losses, axis=0)[:-1]])
+        Z = -trace.eta * L
         np.testing.assert_array_equal(
             trace.weights,
-            project_simplex_rows(-trace.eta * L / c_constant(d)))
+            project_simplex_rows((Z - Z.max(axis=1, keepdims=True))
+                                 / c_constant(d)))
+
+    @pytest.mark.parametrize("d,T,eta", [(2, 5, 1e17), (3, 10, 1e17),
+                                         (3, 10, 1.7e307)])
+    def test_quadratic_leader_at_huge_eta(self, d, T, eta):
+        # -eta L / c is far beyond 1 / ulp, where an unanchored projection
+        # loses the simplex; anchored, the leader follows the best expert
+        trace = run_coinflip_game(d, T, seed=0, kind=SmoothingKind.quadratic(d),
+                                  eta=eta)
+        for w in trace.weights:
+            assert is_simplex_point(w, tol=1e-12)
+        assert abs(trace.final_regret) <= T
 
     def test_weights_in_simplex(self):
         rng = np.random.default_rng(0)
