@@ -143,8 +143,8 @@ def gamma(d: int) -> PartitionCertificate:
 @lru_cache(maxsize=None)
 def beta_root(tol: float = 1e-10) -> AsymptoticConstants:
     """Bisect 2*b*ln(b) - b + 1 on (0, 1) down to bracket width tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
 
     def residual(b):
         return 2.0 * b * math.log(b) - b + 1.0

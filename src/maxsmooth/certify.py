@@ -46,8 +46,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
 
@@ -302,11 +302,11 @@ def q_certificate_grid(kind: SmoothingKind, alphas=(0.1, 1.0, 10.0, 100.0),
     value and the witness, the first maximum in (alpha, i, j) order, are
     bitwise those of the pairwise loop.
     """
+    if not all(0 < alpha < math.inf for alpha in alphas):
+        raise ValueError("alpha must be positive and finite")
     d = kind.d
     worst, witness, n = -math.inf, None, 0
     for alpha in alphas if d > 1 else ():
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
         # row j - 1 is the probe point alpha * x_j, as structured_point
         X = np.where(np.tri(d, dtype=bool),
                      alpha / np.arange(1, d + 1)[:, None], 0.0)

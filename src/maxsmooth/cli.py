@@ -2,9 +2,10 @@
 the smoothed minimax solver, and the experts-game harness.
 
 Exit codes: 0 on success / all certificates passing, 1 on a certificate or
-convergence failure, 2 on usage or schema errors.  All floating output is
-printed with 17 significant digits so files round-trip exactly; identical
-configurations (including seeds) produce byte-identical output.
+convergence failure, 2 on usage or schema errors and on files that cannot
+be read or written.  All floating output is printed with 17 significant
+digits so files round-trip exactly; identical configurations (including
+seeds) produce byte-identical output.
 """
 
 import argparse
@@ -119,11 +120,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        problem = minimax.load_problem(args.problem)
-    except (OSError, json.JSONDecodeError, minimax.ProblemSchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    problem = minimax.load_problem(args.problem)
     kind = SmoothingKind.parse(args.kind, problem.d)
     trace = minimax.solve_smoothed(problem, args.eps, kind,
                                    budget_factor=args.budget_factor,
@@ -233,10 +230,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (argparse.ArgumentTypeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,6 +2,8 @@
 the probability simplex, and the sparse uniform probe points used
 throughout the lower-bound machinery."""
 
+import math
+
 import numpy as np
 
 
@@ -63,8 +65,8 @@ def structured_point(j: int, d: int, alpha: float = 1.0) -> np.ndarray:
     """Scaled probe point: first j coordinates alpha/j, remaining d-j zero."""
     if not 1 <= j <= d:
         raise ValueError(f"j must satisfy 1 <= j <= d, got j={j}, d={d}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     x = np.zeros(d)
     x[:j] = alpha / j
     return x

@@ -17,6 +17,7 @@ import numpy as np
 from .smoothings import (
     SmoothingKind,
     _point,
+    c_constant,
     center_offset,
     gap_bound,
     value_grad,
@@ -174,13 +175,19 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
     objective seen is within eps of the problem's known optimum, or after
     budget_factor times the a-priori budget (measured from the reference
     point) when an optimum is recorded, or after max_iter.  A non-finite
-    iterate, objective or smoothed value stops it as "diverged".
+    iterate, objective or smoothed value stops it as "diverged".  A
+    quadratic kind with c below c_constant(d) is not 1-smooth, so the step
+    and the budget would have no guarantee: it raises ValueError.
     """
     _check_eps(eps)
     if budget_factor < 1:
         raise ValueError("budget_factor must be >= 1")
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if kind.is_quadratic and kind.d >= 2 \
+            and kind.regularizer_weight < c_constant(kind.d):
+        raise ValueError(f"{kind.label()} is not 1-smooth: c must be at "
+                         f"least c_d = {c_constant(kind.d)}")
     if y0 is None:
         y0 = p.y0 if p.y0 is not None else np.zeros(p.n)
     y0 = np.asarray(y0, dtype=np.float64)

@@ -1,7 +1,8 @@
 """Follow-the-regularized-leader over the simplex and a fair-coin experts
 game.  The regularizer is the h of a smoothing kind: the leader's weights
-are the kind's gradient map at -eta L, and the matching worst-case regret
-bound is sqrt(2 range(h) T)."""
+are the kind's gradient at -eta L, evaluated by `value_grad` at one point
+and by `value_grad_many` over a whole game, and the matching worst-case
+regret bound is sqrt(2 range(h) T)."""
 
 from dataclasses import dataclass, field
 import csv
@@ -9,23 +10,23 @@ import math
 
 import numpy as np
 
-from .smoothings import SmoothingKind
+from .smoothings import SmoothingKind, value_grad, value_grad_many
 
 
 def ftrl_weights(kind: SmoothingKind, cumulative_losses,
                  eta: float) -> np.ndarray:
     """Regularized leader: argmin <w, L> + h(w)/eta over the simplex.
 
-    Entropy (lse, clse) gives the softmax of -eta L, the log-sum-exp
-    gradient; the quadratic (quad, quadc) gives the simplex projection of
-    -eta L / c.
+    That is `value_grad(kind, -eta L).gradient`: the softmax of -eta L for
+    the entropy (lse, clse), the simplex projection of -eta L / c for the
+    quadratic (quad, quadc).  A non-finite or overflowing -eta L raises
+    ValueError.
     """
     if not 0.0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
-    L = np.asarray(cumulative_losses, dtype=np.float64)
-    if L.shape != (kind.d,):
-        raise ValueError(f"losses have shape {L.shape}, kind has d={kind.d}")
-    return kind.grad_rows(-eta * L[None, :])[0]
+    with np.errstate(over="ignore"):  # an overflow is rejected as non-finite
+        x = -eta * np.asarray(cumulative_losses, dtype=np.float64)
+    return value_grad(kind, x).gradient
 
 
 def tuned_eta(kind: SmoothingKind, T: int) -> float:
@@ -105,7 +106,7 @@ def run_coinflip_game(d: int, T: int, seed: int, kind: SmoothingKind = None,
     losses = (preds != outcomes).astype(np.float64)
     # the loss stream ignores the learner, so the whole game vectorizes
     prefix = np.vstack([np.zeros((1, d)), np.cumsum(losses, axis=0)])
-    weights = kind.grad_rows(-eta * prefix[:-1])
+    weights = value_grad_many(kind, -eta * prefix[:-1])[1]
     learner_cum = np.cumsum((weights * losses).sum(axis=1))
     best_cum = prefix[1:].min(axis=1)
     return RegretTrace(d=d, T=T, seed=seed, eta=eta,

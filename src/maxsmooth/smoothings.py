@@ -3,9 +3,13 @@
 Every kind is a dual smoothing f(x) = max_{lam in simplex} <lam, x> - h(lam)
 - offset, with h the negative entropy (lse, clse) or the quadratic
 (c/2)(||lam||^2 - 1) (quad, quadc).  The range of h and the offset give the
-exact deviation interval [-offset, range - offset] and the gap bound; the
-regularized leader in `regret` reuses the same gradient map and the range.
-Gradients always land in the probability simplex.
+exact deviation interval [-offset, range - offset] and the gap bound.
+Gradients always land in the probability simplex.  The regularized leader
+in `regret` plays the gradient, through `value_grad` and `value_grad_many`.
+
+Two private kernels carry the formulas: `_rows` over the rows of an (n, d)
+array and `_point` at one point, with the same two branches in the same
+order, so their results agree bitwise.
 """
 
 from dataclasses import dataclass
@@ -133,20 +137,6 @@ class SmoothingKind:
             return gamma_value(self.d)
         return 0.0
 
-    def grad_rows(self, Z):
-        """Row-wise argmax over the simplex of <lam, z> - h(lam).
-
-        The softmax for the entropy, the simplex projection of Z / c for the
-        quadratic; unvalidated (n, d) input.  The projection is taken of the
-        max-anchored rows, as it is invariant under constant shifts and at
-        a large scale the unanchored rows lose the simplex to rounding.
-        """
-        if self.is_quadratic:
-            V = Z - Z.max(axis=1, keepdims=True)
-            V /= self.regularizer_weight
-            return project_simplex_rows(V)
-        return _lse_rows(Z)[1]
-
     def label(self) -> str:
         if self.variant == QUADRATIC_CUSTOM:
             return f"quadc[c={self.c:g}](d={self.d})"
@@ -185,11 +175,30 @@ def value_grad_many(kind: SmoothingKind, X):
 
 
 def _rows(kind, X):
-    vals, grads = _quad_rows(kind, X) if kind.is_quadratic else _lse_rows(X)
+    """(values, gradients) over the rows of an unvalidated (n, d) array.
+
+    The argmax over the simplex of <lam, x> - h(lam): the softmax for the
+    entropy, the simplex projection of the max-anchored rows over c for the
+    quadratic.  `_point` is the same formulas on one row.
+    """
+    m = X.max(axis=1)
+    if kind.is_quadratic:
+        # max-anchoring: the projection and the translation rule are exact
+        # under constant shifts, and at a large scale the unanchored rows
+        # lose the simplex to rounding
+        Z = X - m[:, None]
+        c = kind.regularizer_weight
+        lam = project_simplex_rows(Z / c)
+        vals = m + (lam * Z).sum(axis=1) \
+            - 0.5 * c * ((lam * lam).sum(axis=1) - 1.0)
+    else:
+        e = np.exp(X - m[:, None])
+        s = e.sum(axis=1)
+        vals, lam = m + np.log(s), e / s[:, None]
     offset = kind.offset
     if offset:
         vals = vals - offset
-    return vals, grads
+    return vals, lam
 
 
 def _point(kind, x):
@@ -213,26 +222,6 @@ def _point(kind, x):
     if offset:
         value = value - offset
     return value, lam
-
-
-def _lse_rows(X):
-    m = X.max(axis=1)
-    e = np.exp(X - m[:, None])
-    s = e.sum(axis=1)
-    return m + np.log(s), e / s[:, None]
-
-
-def _quad_rows(kind, X):
-    # max-subtraction: the projection and the translation rule are exact
-    # under constant shifts, and working at max-anchored scale stops
-    # large near-symmetric inputs from amplifying rounding error
-    m = X.max(axis=1)
-    Z = X - m[:, None]
-    lam = kind.grad_rows(Z)
-    c = kind.regularizer_weight
-    vals = m + (lam * Z).sum(axis=1) \
-        - 0.5 * c * ((lam * lam).sum(axis=1) - 1.0)
-    return vals, lam
 
 
 def gap_bound(kind: SmoothingKind) -> float:

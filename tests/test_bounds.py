@@ -237,8 +237,9 @@ class TestBetaRoot:
         assert isinstance(c, AsymptoticConstants)
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            beta_root(0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                beta_root(tol)
 
 
 class TestSandwich:

@@ -173,8 +173,9 @@ class TestSamplerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(seed=1, count=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(seed=1, scale=0.0)
+        for scale in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SamplerConfig(seed=1, scale=scale)
         with pytest.raises(ValueError):
             SamplerConfig(seed=1, distribution="cauchy")
 
@@ -369,8 +370,10 @@ class TestQCertificate:
         assert report.samples == samples
 
     def test_grid_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError, match="alpha must be positive"):
-            q_certificate_grid(SmoothingKind.lse(3), alphas=(1.0, 0.0))
+        for d in (1, 3):
+            for bad in (0.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="alpha must be positive"):
+                    q_certificate_grid(SmoothingKind.lse(d), alphas=(1.0, bad))
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -457,6 +460,12 @@ class TestGradientStructure:
         lams = report.details["block_weights"]
         assert lams == sorted(lams)
         assert lams[-1] == pytest.approx(0.5, abs=1e-9)
+
+    def test_rejects_non_finite_scale(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                check_gradient_structure(SmoothingKind.lse(3), 1,
+                                         alphas=(1.0, bad))
 
     def test_quadratic_vertex_saturation(self):
         kind = SmoothingKind.quadratic(3)

@@ -273,6 +273,23 @@ class TestSolveCommand:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    def test_kind_below_smoothness_threshold_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--problem",
+                                 instance_path("abs.json"), "--kind",
+                                 "quadc:0.5", "--max-iter", "5")
+        assert code == 2 and out == ""
+        assert err == ("error: quadc[c=0.5](d=2) is not 1-smooth: c must be "
+                       "at least c_d = 2.0\n")
+
+    @pytest.mark.parametrize("kind", ["quad", "quadc:20"])
+    def test_kind_at_smoothness_threshold_solves(self, capsys, kind):
+        # affine20 has d = 20, where c_d = 20 is the weight of quad itself
+        code, out, err = run_cli(capsys, "solve", "--problem",
+                                 instance_path("affine20.json"), "--kind",
+                                 kind, "--max-iter", "5")
+        assert err == "" and code != 2
+        assert json.loads(out)["iterations"] == 5
+
     def test_large_coefficients_solve(self, capsys, tmp_path):
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"n": 2, "L": 0.0, "M": 2e8, "components": [
@@ -387,3 +404,18 @@ def test_non_finite_float_option_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gamma", "--dims", "5", "--out"),
+    ("verify", "--count", "50", "--out"),
+    ("gap", "--count", "50", "--out"),
+    ("solve", "--problem", instance_path("abs.json"), "--max-iter", "5",
+     "--out"),
+    ("regret", "--dim", "3", "--horizon", "10", "--seeds", "1", "--trace"),
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "no" / "out.csv"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 """Vector primitive tests with a KKT enumeration oracle for the projection."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -157,8 +158,9 @@ class TestStructuredPoint:
             structured_point(0, 3)
         with pytest.raises(ValueError):
             structured_point(4, 3)
-        with pytest.raises(ValueError):
-            structured_point(1, 3, alpha=0.0)
+        for alpha in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                structured_point(1, 3, alpha=alpha)
 
     @pytest.mark.parametrize("i,j", [(2, 1), (3, 1), (3, 2), (8, 3), (10, 9)])
     def test_one_norm_between_probe_points(self, i, j):

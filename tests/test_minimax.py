@@ -381,7 +381,7 @@ class TestSolveSmoothed:
             solve_smoothed(absprob, -1.0, SmoothingKind.lse(2))
 
     @pytest.mark.parametrize("problem", ["affine20", "quadratic"])
-    @pytest.mark.parametrize("kindname", ["clse", "lse", "quad", "quadc:8"])
+    @pytest.mark.parametrize("kindname", ["clse", "lse", "quad", "quadc:25"])
     def test_trace_matches_batch_path(self, affine20, problem, kindname):
         p = affine20 if problem == "affine20" else quadratic_problem()
         kind = SmoothingKind.parse(kindname, p.d)

@@ -3,6 +3,7 @@ coin-flip game recomputed from its own trace, and the duality with the
 log-sum-exp gradient."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,14 +105,23 @@ class TestFtrlWeights:
                     ftrl_weights(kind, L[perm], eta=0.3),
                     ftrl_weights(kind, L, eta=0.3)[perm], atol=1e-14)
 
-    def test_entropy_weights_are_lse_gradient(self):
+    @pytest.mark.parametrize("name", ["lse", "clse", "quad", "quadc:9"])
+    def test_weights_are_smoothing_gradient(self, name):
         # the leader's weights and the smoothing gradient share one code path
-        kind = SmoothingKind.lse(4)
+        kind = SmoothingKind.parse(name, 4)
         L = np.array([3.0, 1.0, 4.0, 1.5])
         eta = 0.37
         w = ftrl_weights(kind, L, eta)
         g = value_grad(kind, -eta * L).gradient
         np.testing.assert_array_equal(w, g)
+
+    @pytest.mark.parametrize("L,eta", [([0.0, math.nan, 1.0], 1.0),
+                                       ([0.0, 1e10, 1.0], 1e300)],
+                             ids=["nan", "overflow"])
+    def test_rejects_non_finite_leader_argument(self, L, eta):
+        for kind in (SmoothingKind.lse(3), SmoothingKind.quadratic(3)):
+            with pytest.raises(ValueError, match="must be finite"):
+                ftrl_weights(kind, np.array(L), eta)
 
     def test_rejects_bad_eta(self):
         with pytest.raises(ValueError):
@@ -199,6 +209,20 @@ class TestCoinflipGame:
         regrets = [run_coinflip_game(d, T, seed=s).final_regret
                    for s in range(10)]
         assert np.mean(regrets) > 0.4 * math.sqrt(T * math.log(d) / 2)
+
+    def test_quadratic_game_memory_is_a_few_arrays(self):
+        # the weights come from value_grad_many's row blocks, so the peak
+        # is the game's own (T, d) arrays plus bounded block temporaries
+        d, T = 256, 10_000
+        kind = SmoothingKind.quadratic(d)
+        run_coinflip_game(d, 10, seed=0, kind=kind)  # warm caches
+        tracemalloc.start()
+        try:
+            run_coinflip_game(d, T, seed=1, kind=kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * d * T
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
