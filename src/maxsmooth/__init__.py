@@ -14,12 +14,8 @@ from .bounds import (
 from .certify import (
     CertReport,
     SamplerConfig,
-    check_expectation_guarantee,
-    check_grad_in_simplex,
     check_gradient_fd,
     check_gradient_structure,
-    check_permutation_invariance,
-    check_smoothness,
     empirical_gap,
     run_certificate_suite,
     telescoping_sum,

@@ -1,13 +1,14 @@
 """Numerical certificates for smoothing properties.
 
-Each check samples points or pairs deterministically from a seeded config,
-measures the worst violation of one inequality, and reports it together
-with the witness attaining it.  Negative slack means the inequality holds
-with room to spare; a report passes iff the worst violation stays at or
-below its recorded tolerance.
+Each check measures the worst violation of one inequality over probe
+points or over a sample drawn deterministically from a seeded config, and
+reports it together with the witness attaining it.  Negative slack means
+the inequality holds with room to spare; a report passes iff the worst
+violation stays at or below its recorded tolerance.
 
-A suite run draws its sample once, evaluates it once and passes it to
-each sampled check; a standalone check draws and evaluates its own.  Probe
+The sampled checks are private bodies that `run_certificate_suite` runs on
+one sample, drawn and evaluated once.  `empirical_gap` alone is also
+public, for the `gap` command, and then draws its own sample.  Probe
 points, finite-difference stencils and structure scales are evaluated in
 batches, and the ray half of a sample comes from one row-wise shuffle that
 draws the generator stream of one permutation per row.  Reports are
@@ -15,7 +16,7 @@ bitwise those of single-point evaluation, because `_point` returns
 bitwise what `_rows` returns and rows are evaluated independently.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import json
 import math
 
@@ -31,23 +32,20 @@ from .smoothings import (
     value_grad_many,
 )
 
-DISTRIBUTIONS = ("gaussian", "structured-rays", "mixed")
+DISTRIBUTIONS = ("gaussian", "mixed")
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Deterministic sampling plan: seed, sample count, scale, distribution."""
+    """Deterministic sampling plan: seed, sample count, distribution."""
 
     seed: int
     count: int = 1000
-    scale: float = 1.0
     distribution: str = "gaussian"
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if not 0 < self.scale < math.inf:
-            raise ValueError("scale must be positive and finite")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
 
@@ -94,18 +92,16 @@ def reports_to_json(reports, indent=2) -> str:
 def _sample_points(cfg: SamplerConfig, d: int, rng) -> np.ndarray:
     n = cfg.count
     if cfg.distribution == "gaussian":
-        return cfg.scale * rng.standard_normal((n, d))
-    if cfg.distribution == "structured-rays":
-        return _sample_rays(cfg, d, n, rng)
+        return rng.standard_normal((n, d))
     half = n // 2
-    gauss = cfg.scale * rng.standard_normal((n - half, d))
-    rays = _sample_rays(cfg, d, half, rng) if half else np.zeros((0, d))
+    gauss = rng.standard_normal((n - half, d))
+    rays = _sample_rays(d, half, rng) if half else np.zeros((0, d))
     return np.vstack([gauss, rays])
 
 
-def _sample_rays(cfg, d, n, rng):
+def _sample_rays(d, n, rng):
     js = rng.integers(1, d + 1, size=n)
-    alphas = cfg.scale * 10.0 ** rng.uniform(-2.0, 2.0, size=n)
+    alphas = 10.0 ** rng.uniform(-2.0, 2.0, size=n)
     # one shuffle of every row draws, in row order, what one
     # rng.permutation(d) per row draws; row r puts alpha / j on the first j
     # columns of its permutation and zero on the rest, so every cell is set
@@ -140,15 +136,13 @@ def _sample_pairs(cfg: SamplerConfig, X, state):
     rng = np.random.default_rng(cfg.seed)
     rng.bit_generator.state = state
     d = X.shape[1]
-    rho = cfg.scale * 10.0 ** rng.uniform(-3.0, 0.5, size=cfg.count)
+    rho = 10.0 ** rng.uniform(-3.0, 0.5, size=cfg.count)
     U = rng.standard_normal((cfg.count, d))
     independent = np.arange(cfg.count) % 4 == 0
     Y = X + rho[:, None] * U
     if independent.any():
         Y[independent] = _sample_points(
-            SamplerConfig(seed=cfg.seed, count=int(independent.sum()),
-                          scale=cfg.scale, distribution=cfg.distribution),
-            d, rng)
+            replace(cfg, count=int(independent.sum())), d, rng)
     return Y
 
 
@@ -176,17 +170,12 @@ def _worst_row(name, kind, cfg, viol, X, tol, **details):
     )
 
 
-def check_smoothness(kind: SmoothingKind, cfg: SamplerConfig,
-                     tol: float = 1e-8) -> CertReport:
+def _smoothness(kind, cfg, tol, sample):
     """Sampled gradient-Lipschitz check: ||grad(x)-grad(y)||_1 <= ||x-y||_inf.
 
     The violation is normalized by max(1, ||x-y||_inf); coincident pairs
     are skipped as trivially satisfied.
     """
-    return _smoothness(kind, cfg, tol, _evaluated_sample(kind, cfg))
-
-
-def _smoothness(kind, cfg, tol, sample):
     X, _, GX, state = sample
     Y = _sample_pairs(cfg, X, state)
     # both differences overwrite the fresh gradients of Y, so no count x d
@@ -275,13 +264,8 @@ def check_gradient_fd(kind: SmoothingKind, x, h: float = 1e-5,
     )
 
 
-def check_grad_in_simplex(kind: SmoothingKind, cfg: SamplerConfig,
-                          tol: float = 1e-9) -> CertReport:
-    """All sampled gradients are nonnegative and sum to one within tol."""
-    return _grad_in_simplex(kind, cfg, tol, _evaluated_sample(kind, cfg))
-
-
 def _grad_in_simplex(kind, cfg, tol, sample):
+    """All sampled gradients are nonnegative and sum to one within tol."""
     X, _, G, _ = sample
     viol = np.maximum(-G.min(axis=1), np.abs(G.sum(axis=1) - 1.0))
     return _worst_row("grad_in_simplex", kind, cfg, viol, X, tol)
@@ -302,6 +286,8 @@ def q_certificate_grid(kind: SmoothingKind, alphas=(0.1, 1.0, 10.0, 100.0),
     value and the witness, the first maximum in (alpha, i, j) order, are
     bitwise those of the pairwise loop.
     """
+    if len(alphas) == 0:
+        raise ValueError("alphas must not be empty")
     if not all(0 < alpha < math.inf for alpha in alphas):
         raise ValueError("alpha must be positive and finite")
     d = kind.d
@@ -333,14 +319,8 @@ def q_certificate_grid(kind: SmoothingKind, alphas=(0.1, 1.0, 10.0, 100.0),
     )
 
 
-def check_expectation_guarantee(kind: SmoothingKind, delta: float,
-                                cfg: SamplerConfig,
-                                tol: float = 1e-9) -> CertReport:
-    """<grad f(x), x> >= sigma_max(x) - 2*delta on every sample."""
-    return _expectation(kind, delta, cfg, tol, _evaluated_sample(kind, cfg))
-
-
 def _expectation(kind, delta, cfg, tol, sample):
+    """<grad f(x), x> >= sigma_max(x) - 2*delta on every sample."""
     X, _, G, _ = sample
     viol = X.max(axis=1) - 2.0 * delta - (G * X).sum(axis=1)
     return _worst_row("expectation_guarantee", kind, cfg, viol, X, tol,
@@ -420,6 +400,8 @@ def check_gradient_structure(kind: SmoothingKind, j: int, alphas,
     if not 1 <= j <= d:
         raise ValueError(f"j must lie in 1..{d}")
     alphas = sorted(alphas)
+    if not alphas:
+        raise ValueError("alphas must not be empty")
     points = [structured_point(j, d, a) for a in alphas]
     G = value_grad_many(kind, np.array(points).reshape(-1, d))[1]
     worst, witness = -math.inf, None
@@ -448,13 +430,9 @@ def check_gradient_structure(kind: SmoothingKind, j: int, alphas,
     )
 
 
-def check_permutation_invariance(kind: SmoothingKind, cfg: SamplerConfig,
-                                 tol: float = 1e-9) -> CertReport:
-    """f(Px) = f(x) and grad f(Px) = P grad f(x), one random P per sample."""
-    return _permutation(kind, cfg, tol, _evaluated_sample(kind, cfg))
-
-
 def _permutation(kind, cfg, tol, sample):
+    """f(Px) = f(x) and grad f(Px) = P grad f(x), one random P per sample,
+    drawn from the generator state after the sample."""
     X, vals, G, state = sample
     rng = np.random.default_rng(cfg.seed)
     rng.bit_generator.state = state
@@ -479,20 +457,15 @@ def telescoping_sum(kind: SmoothingKind, indices, alpha: float) -> float:
                      for a, b in zip(grads, grads[1:])))
 
 
-def telescoping_certificate(kind: SmoothingKind, cfg: SamplerConfig,
-                            alpha: float = 1e4) -> CertReport:
-    """Partition-sum witness: the chain sum must not exceed the measured gap.
+def _telescoping(kind, cfg, alpha, gap_est):
+    """Partition-sum witness: the chain sum must not exceed the measured gap
+    gap_est, the empirical gap's estimate at the same alpha.
 
     Any 1-smooth convex approximation obeys sum <= sup-deviation in the
     large-alpha limit; at finite alpha the comparison carries a 10/alpha
     budget (the block weights converge at rate 1/alpha).  The sum must
     also come out near the maximal partition value itself.
     """
-    gap_est = empirical_gap(kind, alpha, cfg).details["estimate"]
-    return _telescoping(kind, cfg, alpha, gap_est)
-
-
-def _telescoping(kind, cfg, alpha, gap_est):
     cert = gamma(kind.d)
     total = telescoping_sum(kind, cert.indices, alpha)
     budget = 10.0 / alpha
@@ -525,7 +498,7 @@ def run_certificate_suite(kind: SmoothingKind, seed: int = 20250808,
                         ("tol_fd", tol_fd)):
         _check_tolerance(name, value)
     d = kind.d
-    cfg = SamplerConfig(seed=seed, count=count, scale=1.0, distribution="mixed")
+    cfg = SamplerConfig(seed=seed, count=count, distribution="mixed")
     sample = _evaluated_sample(kind, cfg)
     reports = [
         _smoothness(kind, cfg, tol_smooth, sample),

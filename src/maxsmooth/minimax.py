@@ -172,12 +172,14 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
 
     Constant step 1/L_F with the standard momentum sequence
     t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2.  Stops as soon as the best true
-    objective seen is within eps of the problem's known optimum, or after
-    budget_factor times the a-priori budget (measured from the reference
-    point) when an optimum is recorded, or after max_iter.  A non-finite
-    iterate, objective or smoothed value stops it as "diverged".  A
-    quadratic kind with c below c_constant(d) is not 1-smooth, so the step
-    and the budget would have no guarantee: it raises ValueError.
+    objective seen is within eps of the problem's known optimum
+    ("target_reached"), or after budget_factor times the a-priori budget
+    (measured from the reference point) when the problem records one
+    ("budget_exhausted"), or after a smaller max_iter ("max_iter").  A
+    non-finite iterate, objective or smoothed value stops it as
+    "diverged".  A quadratic kind with c below c_constant(d) is not
+    1-smooth, so the step and the budget would have no guarantee: it
+    raises ValueError.
     """
     _check_eps(eps)
     if budget_factor < 1:
@@ -202,12 +204,12 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
     if p.reference_point is not None:
         R = float(np.linalg.norm(y0 - p.reference_point))
         budget = smoothed_budget(p, eps, kind, R)
-        cap = budget_factor * budget
-        if max_iter is not None:
-            cap = min(cap, max_iter)
+        cap, cap_reason = budget_factor * budget, "budget_exhausted"
+        if max_iter is not None and max_iter < cap:
+            cap, cap_reason = max_iter, "max_iter"
     elif max_iter is not None:
         R = None
-        cap = max_iter
+        cap, cap_reason = max_iter, "max_iter"
     else:
         raise ValueError("need a problem reference_point or max_iter")
 
@@ -263,7 +265,7 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
             x_prev = x_new
             t_k = t_new
         else:
-            trace.stop_reason = "budget_exhausted" if budget else "max_iter"
+            trace.stop_reason = cap_reason
 
     trace.final_point = best_point
     trace.oracle_calls = calls
@@ -319,11 +321,12 @@ def load_problem(source) -> MaxOfSmoothProblem:
     Schema: {"n": int, "components": [{"type": "affine", "a": [...], "b": f}
     | {"type": "quadratic", "H": [[...]], "a": [...], "b": f}], "L": f,
     "M": f} with optional "optimal_value", "reference_point", "y0", "name".
-    Every number must be finite, and a quadratic H symmetric positive
-    semidefinite with largest eigenvalue at most L, each up to 1e-12 times
-    max(1, largest |entry|).  An affine a must have Euclidean norm at most
-    M, up to 1e-12 times max(1, M); for a quadratic component M is only a
-    local bound and is not checked.
+    n must be a positive integer (not a bool), every number must be
+    finite, and a quadratic H symmetric positive semidefinite with largest
+    eigenvalue at most L, each up to 1e-12 times max(1, largest |entry|).
+    An affine a must have Euclidean norm at most M, up to 1e-12 times
+    max(1, M); for a quadratic component M is only a local bound and is
+    not checked.
     """
     if isinstance(source, dict):
         raw = source
@@ -347,7 +350,9 @@ def load_problem(source) -> MaxOfSmoothProblem:
         return v
 
     try:
-        n = int(raw["n"])
+        n = raw["n"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError("n must be a positive integer")
         L = finite("L", float(raw["L"]))
         M = finite("M", float(raw["M"]))
         comps = []

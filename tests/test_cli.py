@@ -222,6 +222,16 @@ class TestSolveCommand:
         assert err == ("error: bad problem schema: components[0].a has norm 5 "
                        "above M = 1\n")
 
+    def test_fractional_n_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "n.json"
+        bad.write_text(json.dumps({"n": 2.7, "L": 0.0, "M": 1.0,
+                                   "components": [{"type": "affine",
+                                                   "a": [1.0, 0.0], "b": 0.0}]}))
+        code, out, err = run_cli(capsys, "solve", "--problem", str(bad))
+        assert code == 2 and out == ""
+        assert err == ("error: bad problem schema: n must be a positive "
+                       "integer\n")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--problem", "/no/such.json")
         assert code == 2
@@ -288,7 +298,10 @@ class TestSolveCommand:
                                  instance_path("affine20.json"), "--kind",
                                  kind, "--max-iter", "5")
         assert err == "" and code != 2
-        assert json.loads(out)["iterations"] == 5
+        # --max-iter 5 stops the solve long before 4 x its budget
+        summary = json.loads(out)
+        assert summary["iterations"] == 5
+        assert summary["stop_reason"] == "max_iter"
 
     def test_large_coefficients_solve(self, capsys, tmp_path):
         big = tmp_path / "big.json"

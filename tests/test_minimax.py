@@ -175,6 +175,11 @@ class TestProblemLoading:
         with pytest.raises(ProblemSchemaError):
             load_problem({"n": 1, "components": [
                 {"type": "affine", "a": [1.0], "b": 0.0}]})  # missing L, M
+        for n in (2.7, "2", True, 0, -1, None):
+            with pytest.raises(ProblemSchemaError, match=(
+                    "^bad problem schema: n must be a positive integer$")):
+                load_problem({"n": n, "L": 0, "M": 1, "components": [
+                    {"type": "affine", "a": [1.0, 0.0], "b": 0.0}]})
 
     @pytest.mark.parametrize("field", [
         "L", "M", "a", "b", "H", "optimal_value", "reference_point", "y0"])
@@ -375,6 +380,24 @@ class TestSolveSmoothed:
             solve_smoothed(p, 1e-3, SmoothingKind.lse(1))
         trace = solve_smoothed(p, 1e-3, SmoothingKind.lse(1), max_iter=5)
         assert trace.iterations == 5 and trace.stop_reason == "max_iter"
+
+    def test_stop_reason_names_the_cap_that_stopped(self):
+        # a reference point and no optimum: only the budget or max_iter
+        # stops the solve, and a tie reads as the budget
+        p = MaxOfSmoothProblem(
+            components=[AffineComponent(a=np.array([s]), b=0.0)
+                        for s in (1.0, -1.0)],
+            n=1, L=0.0, M=1.0, reference_point=np.zeros(1), y0=np.ones(1))
+        kind = SmoothingKind.lse(2)
+        budget = solve_smoothed(p, 0.1, kind, max_iter=1).metadata["budget"]
+        for max_iter, iterations, reason in (
+                (None, budget, "budget_exhausted"),
+                (budget, budget, "budget_exhausted"),
+                (budget - 1, budget - 1, "max_iter")):
+            trace = solve_smoothed(p, 0.1, kind, budget_factor=1,
+                                   max_iter=max_iter)
+            assert trace.iterations == iterations
+            assert trace.stop_reason == reason
 
     def test_rejects_bad_eps(self, absprob):
         with pytest.raises(ValueError):
