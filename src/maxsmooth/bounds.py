@@ -141,16 +141,14 @@ def gamma(d: int) -> PartitionCertificate:
 
 
 @lru_cache(maxsize=None)
-def beta_root(tol: float = 1e-10) -> AsymptoticConstants:
-    """Bisect 2*b*ln(b) - b + 1 on (0, 1) down to bracket width tol."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+def beta_root() -> AsymptoticConstants:
+    """Bisect 2*b*ln(b) - b + 1 on (0, 1) down to bracket width 1e-10."""
 
     def residual(b):
         return 2.0 * b * math.log(b) - b + 1.0
 
     lo, hi = 1e-15, 1.0 - 1e-15  # residual is +1 near 0 and negative near 1
-    while hi - lo >= tol:
+    while hi - lo >= 1e-10:
         mid = 0.5 * (lo + hi)
         if residual(mid) > 0.0:
             lo = mid
@@ -164,7 +162,7 @@ def asymptotic_sandwich(d: int):
     """Bounds slope*ln(d) - 2(d-1)/d <= gamma(d) <= slope*ln(d)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    slope = beta_root(1e-10).slope
+    slope = beta_root().slope
     upper = slope * math.log(d)
     return upper - 2.0 * (d - 1) / d, upper
 

@@ -3,8 +3,14 @@
 Each check measures the worst violation of one inequality over probe
 points or over a sample drawn deterministically from a seeded config, and
 reports it together with the witness attaining it.  Negative slack means
-the inequality holds with room to spare; a report passes iff the worst
-violation stays at or below its recorded tolerance.
+the inequality holds with room to spare; a report's `passed` is derived,
+not stored: the worst violation stays at or below its recorded tolerance.
+
+The probe plan is fixed: the Q grid probes the rays alpha * x_j at
+alpha = 0.1, 1, 10, 100, the block-structure check at 0.5, 1, 10, 100,
+finite differences step by 1e-5 * (1 + ||x||_inf), and the smoothness and
+finite-difference reports hold to 1e-8 and 1e-6.  Only the sample (seed,
+count) and the tolerance of the other reports are chosen by the caller.
 
 The sampled checks are private bodies that `run_certificate_suite` runs on
 one sample, drawn and evaluated once.  `empirical_gap` alone is also
@@ -58,10 +64,13 @@ class CertReport:
     samples: int
     worst_violation: float
     witness: object
-    passed: bool
     tolerance: float
     seed: int = None
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.worst_violation <= self.tolerance
 
     def to_dict(self) -> dict:
         def clean(v):
@@ -85,8 +94,8 @@ class CertReport:
         }
 
 
-def reports_to_json(reports, indent=2) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=indent)
+def reports_to_json(reports) -> str:
+    return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
 def _sample_points(cfg: SamplerConfig, d: int, rng) -> np.ndarray:
@@ -163,7 +172,6 @@ def _worst_row(name, kind, cfg, viol, X, tol, **details):
         samples=cfg.count,
         worst_violation=worst,
         witness=X[k].copy(),
-        passed=worst <= tol,
         tolerance=tol,
         seed=cfg.seed,
         details=details,
@@ -196,29 +204,26 @@ def _smoothness(kind, cfg, tol, sample):
         samples=int(keep.sum()),
         worst_violation=worst,
         witness=witness,
-        passed=worst <= tol,
         tolerance=tol,
         seed=cfg.seed,
         details={"raw_violation": float(raw[k]), "skipped": int((~keep).sum())},
     )
 
 
-def check_gradient_fd(kind: SmoothingKind, x, h: float = 1e-5,
-                      tol: float = 1e-6) -> CertReport:
+def check_gradient_fd(kind: SmoothingKind, x) -> CertReport:
     """Validate the analytic gradient coordinate-wise by finite differences.
 
-    Central differences by default.  For the piecewise-quadratic kinds the
+    The step is 1e-5 * (1 + ||x||_inf) and the tolerance 1e-6.  Central
+    differences by default.  For the piecewise-quadratic kinds the
     projection's active set is compared at x +/- step per coordinate; at a
     seam the check switches to a second-order one-sided stencil taken from
     whichever side keeps the active set of x (exact on quadratic pieces).
     The 2d points x +/- step are evaluated in one batch; the one-sided
     points of the few seam coordinates one at a time, only where needed.
     """
-    if h < 1e-10:
-        raise ValueError("finite-difference step below 1e-10 is all roundoff")
     x = np.asarray(x, dtype=np.float64)
     ev = value_grad(kind, x)
-    step = h * (1.0 + float(np.abs(x).max()))
+    step = 1e-5 * (1.0 + float(np.abs(x).max()))
     d = kind.d
     E = np.diag(np.full(d, step))  # row i is step times the i-th unit vector
     near = np.concatenate([x + E, x - E])
@@ -257,8 +262,7 @@ def check_gradient_fd(kind: SmoothingKind, x, h: float = 1e-5,
         samples=d - len(skipped),
         worst_violation=worst,
         witness=x,
-        passed=worst <= tol,
-        tolerance=tol,
+        tolerance=1e-6,
         details={"kink_coordinates": kink_coords, "skipped_coordinates": skipped,
                  "step": step, "worst_coordinate": k},
     )
@@ -271,9 +275,8 @@ def _grad_in_simplex(kind, cfg, tol, sample):
     return _worst_row("grad_in_simplex", kind, cfg, viol, X, tol)
 
 
-def q_certificate_grid(kind: SmoothingKind, alphas=(0.1, 1.0, 10.0, 100.0),
-                       tol: float = 1e-9) -> CertReport:
-    """Worst -Q over all index pairs and the given scales.
+def q_certificate_grid(kind: SmoothingKind, tol: float = 1e-9) -> CertReport:
+    """Worst -Q over all index pairs and the scales a = 0.1, 1, 10, 100.
 
     Q(i, j) = f(a x_i) - f(a x_j) - <grad f(a x_j), a x_i - a x_j>
               - 0.5 ||grad f(a x_i) - grad f(a x_j)||_1^2
@@ -286,11 +289,8 @@ def q_certificate_grid(kind: SmoothingKind, alphas=(0.1, 1.0, 10.0, 100.0),
     value and the witness, the first maximum in (alpha, i, j) order, are
     bitwise those of the pairwise loop.
     """
-    if len(alphas) == 0:
-        raise ValueError("alphas must not be empty")
-    if not all(0 < alpha < math.inf for alpha in alphas):
-        raise ValueError("alpha must be positive and finite")
     d = kind.d
+    alphas = (0.1, 1.0, 10.0, 100.0)
     worst, witness, n = -math.inf, None, 0
     for alpha in alphas if d > 1 else ():
         # row j - 1 is the probe point alpha * x_j, as structured_point
@@ -314,7 +314,6 @@ def q_certificate_grid(kind: SmoothingKind, alphas=(0.1, 1.0, 10.0, 100.0),
         samples=max(n, 1),
         worst_violation=float(worst),
         witness=witness,
-        passed=worst <= tol,
         tolerance=tol,
     )
 
@@ -351,7 +350,6 @@ def _empirical_gap(kind, alpha_max, cfg, tol, sample):
         samples=samples,
         worst_violation=estimate - bound,
         witness=witness,
-        passed=estimate - bound <= tol,
         tolerance=tol,
         seed=cfg.seed,
         details={"estimate": estimate, "deviation_bound": bound,
@@ -388,20 +386,17 @@ def _gap_scan(kind: SmoothingKind, alpha_max: float, sample):
     return float(estimate), witness, 1 + 80 * d + len(X)
 
 
-def check_gradient_structure(kind: SmoothingKind, j: int, alphas,
+def check_gradient_structure(kind: SmoothingKind, j: int,
                              tol: float = 1e-9) -> CertReport:
     """Two-block gradient structure along the probe ray alpha * x_j.
 
     The gradient must have its first j coordinates equal and its last d-j
     coordinates equal, and the leading block weight must rise toward 1/j
-    as alpha grows.  The scales are evaluated in one batch.
+    as alpha grows through 0.5, 1, 10 and 100.  The scales are evaluated
+    in one batch.
     """
     d = kind.d
-    if not 1 <= j <= d:
-        raise ValueError(f"j must lie in 1..{d}")
-    alphas = sorted(alphas)
-    if not alphas:
-        raise ValueError("alphas must not be empty")
+    alphas = (0.5, 1.0, 10.0, 100.0)
     points = [structured_point(j, d, a) for a in alphas]
     G = value_grad_many(kind, np.array(points).reshape(-1, d))[1]
     worst, witness = -math.inf, None
@@ -424,7 +419,6 @@ def check_gradient_structure(kind: SmoothingKind, j: int, alphas,
         samples=len(alphas),
         worst_violation=float(worst),
         witness=witness,
-        passed=worst <= tol,
         tolerance=tol,
         details={"block_weights": lams, "alphas": list(alphas)},
     )
@@ -475,7 +469,6 @@ def _telescoping(kind, cfg, alpha, gap_est):
         samples=len(cert.indices),
         worst_violation=float(worst),
         witness=cert.indices,
-        passed=worst <= budget,
         tolerance=budget,
         seed=cfg.seed,
         details={"alpha": alpha, "finite_alpha_budget": budget,
@@ -485,23 +478,22 @@ def _telescoping(kind, cfg, alpha, gap_est):
 
 
 def run_certificate_suite(kind: SmoothingKind, seed: int = 20250808,
-                          count: int = 10_000, tol_smooth: float = 1e-8,
-                          tol: float = 1e-9, tol_fd: float = 1e-6) -> list:
+                          count: int = 10_000, tol: float = 1e-9) -> list:
     """The full deterministic certificate battery for one smoothing kind.
 
     The sampled checks share one draw and one evaluation of it, and the
-    telescoping check takes the empirical gap's estimate.  The tolerances
-    must be finite, since an infinite one would pass every check, and
-    nonnegative, since a negative one would fail every check.
+    telescoping check takes the empirical gap's estimate.  tol applies to
+    every report but three: smoothness uses 1e-8, the finite-difference
+    gradients 1e-6 and telescoping its 10/alpha budget.  tol must be
+    finite, since an infinite one would pass every check, and nonnegative,
+    since a negative one would fail every check.
     """
-    for name, value in (("tol", tol), ("tol_smooth", tol_smooth),
-                        ("tol_fd", tol_fd)):
-        _check_tolerance(name, value)
+    _check_tolerance("tol", tol)
     d = kind.d
     cfg = SamplerConfig(seed=seed, count=count, distribution="mixed")
     sample = _evaluated_sample(kind, cfg)
     reports = [
-        _smoothness(kind, cfg, tol_smooth, sample),
+        _smoothness(kind, cfg, 1e-8, sample),
         _grad_in_simplex(kind, cfg, tol, sample),
         q_certificate_grid(kind, tol=tol),
         _expectation(kind, gap_bound(kind), cfg, tol, sample),
@@ -511,8 +503,7 @@ def run_certificate_suite(kind: SmoothingKind, seed: int = 20250808,
     reports.append(_telescoping(kind, cfg, 1e4, reports[4].details["estimate"]))
     rng = np.random.default_rng(seed + 2)
     for x in rng.standard_normal((3, d)):
-        reports.append(check_gradient_fd(kind, x, tol=tol_fd))
+        reports.append(check_gradient_fd(kind, x))
     for j in range(1, d + 1):
-        reports.append(check_gradient_structure(
-            kind, j, alphas=(0.5, 1.0, 10.0, 100.0), tol=tol))
+        reports.append(check_gradient_structure(kind, j, tol=tol))
     return reports

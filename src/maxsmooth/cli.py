@@ -2,10 +2,10 @@
 the smoothed minimax solver, and the experts-game harness.
 
 Exit codes: 0 on success / all certificates passing, 1 on a certificate or
-convergence failure, 2 on usage or schema errors and on files that cannot
-be read or written.  All floating output is printed with 17 significant
-digits so files round-trip exactly; identical configurations (including
-seeds) produce byte-identical output.
+convergence failure, 2 on usage or schema errors, on files that cannot
+be read or written and on requests too large for memory.  All floating
+output is printed with 17 significant digits so files round-trip exactly;
+identical configurations (including seeds) produce byte-identical output.
 """
 
 import argparse
@@ -230,8 +230,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (argparse.ArgumentTypeError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (argparse.ArgumentTypeError, ValueError, OSError,
+            MemoryError) as exc:
+        # a failed allocation may carry no message of its own
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -166,10 +166,11 @@ def smoothed_budget(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
 
 
 def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
-                   y0=None, budget_factor: int = 4,
+                   budget_factor: int = 4,
                    max_iter: int = None) -> SolverTrace:
     """Accelerated gradient descent on the smoothed composite.
 
+    Starts from the problem's y0, or from the origin when it has none.
     Constant step 1/L_F with the standard momentum sequence
     t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2.  Stops as soon as the best true
     objective seen is within eps of the problem's known optimum
@@ -190,9 +191,7 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
             and kind.regularizer_weight < c_constant(kind.d):
         raise ValueError(f"{kind.label()} is not 1-smooth: c must be at "
                          f"least c_d = {c_constant(kind.d)}")
-    if y0 is None:
-        y0 = p.y0 if p.y0 is not None else np.zeros(p.n)
-    y0 = np.asarray(y0, dtype=np.float64)
+    y0 = np.zeros(p.n) if p.y0 is None else np.asarray(p.y0, dtype=np.float64)
     delta = gap_bound(kind)
     L_F = p.L + 2.0 * delta * p.M ** 2 / eps
     if L_F <= 0.0:  # single exact component with L = 0: any step is valid
@@ -272,22 +271,18 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
     return trace
 
 
-def solve_subgradient(p: MaxOfSmoothProblem, iters: int, y0=None,
-                      step_scale: float = 0.1,
+def solve_subgradient(p: MaxOfSmoothProblem, iters: int,
                       target: float = None) -> SolverTrace:
-    """Subgradient descent on the raw max objective with step c/sqrt(t).
+    """Subgradient descent on the raw max objective with step 0.1/sqrt(t).
 
+    Starts from the problem's y0, or from the origin when it has none.
     The subgradient is the gradient of the achieving component, smallest
     index on ties.  Stops early once the best objective reaches target.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if y0 is None:
-        y0 = p.y0 if p.y0 is not None else np.zeros(p.n)
-    y = np.asarray(y0, dtype=np.float64).copy()
-    trace = SolverTrace(metadata={
-        "method": "subgradient", "step_scale": step_scale, "iters": iters,
-    })
+    y = np.zeros(p.n) if p.y0 is None else np.array(p.y0, dtype=np.float64)
+    trace = SolverTrace(metadata={"method": "subgradient", "iters": iters})
     best = math.inf
     best_point = y.copy()
     calls = 0
@@ -307,7 +302,7 @@ def solve_subgradient(p: MaxOfSmoothProblem, iters: int, y0=None,
         if target is not None and best <= target:
             trace.stop_reason = "target_reached"
             break
-        y = y - (step_scale / math.sqrt(t)) * g
+        y = y - (0.1 / math.sqrt(t)) * g
     else:
         trace.stop_reason = "max_iter"
     trace.final_point = best_point

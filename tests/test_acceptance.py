@@ -49,7 +49,7 @@ def test_criterion_2_asymptotic_constant():
     for _ in range(3):
         t0 = time.perf_counter()
         beta_root.cache_clear()
-        constants = beta_root(1e-10)
+        constants = beta_root()
         best = min(best, time.perf_counter() - t0)
     assert abs(constants.beta - 0.28467) <= 5e-6
     assert abs(constants.slope - 0.40726) <= 5e-6

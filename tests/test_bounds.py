@@ -222,24 +222,19 @@ class TestGamma:
 
 class TestBetaRoot:
     def test_defining_equation_residual(self):
-        c = beta_root(1e-10)
+        c = beta_root()
         assert abs(2 * c.beta * math.log(c.beta) - c.beta + 1) <= 1e-9
 
     def test_numeric_values(self):
-        c = beta_root(1e-10)
+        c = beta_root()
         assert c.beta == pytest.approx(0.28467, abs=5e-6)
         assert c.slope == pytest.approx(0.40726, abs=5e-6)
         assert 0 < c.beta < 1
 
     def test_slope_definition(self):
-        c = beta_root(1e-12)
+        c = beta_root()
         assert c.slope == 2 * c.beta * (1 - c.beta)
         assert isinstance(c, AsymptoticConstants)
-
-    def test_rejects_bad_tol(self):
-        for tol in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                beta_root(tol)
 
 
 class TestSandwich:
@@ -254,7 +249,7 @@ class TestSandwich:
         assert lower - 1e-9 <= val <= upper + 1e-9
 
     def test_upper_bound_formula(self):
-        slope = beta_root(1e-10).slope
+        slope = beta_root().slope
         lower, upper = asymptotic_sandwich(100)
         assert upper == pytest.approx(slope * math.log(100), abs=1e-15)
         assert upper - lower == pytest.approx(2 * 99 / 100, abs=1e-15)

@@ -90,12 +90,12 @@ def sample_rays_loop(d, n, rng):
     return X
 
 
-def gradient_fd_loop(kind, x, h=1e-5, tol=1e-6):
+def gradient_fd_loop(kind, x):
     """Reference check_gradient_fd: every stencil point evaluated on its
     own, the active sets from single-point gradients."""
     x = np.asarray(x, dtype=np.float64)
     ev = value_grad(kind, x)
-    step = h * (1.0 + float(np.abs(x).max()))
+    step = 1e-5 * (1.0 + float(np.abs(x).max()))
     d = kind.d
 
     def f(p):
@@ -129,15 +129,15 @@ def gradient_fd_loop(kind, x, h=1e-5, tol=1e-6):
     worst = float(err[k])
     return CertReport(
         name=f"gradient_fd[{kind.label()}]", samples=d - len(skipped),
-        worst_violation=worst, witness=x, passed=worst <= tol, tolerance=tol,
+        worst_violation=worst, witness=x, tolerance=1e-6,
         details={"kink_coordinates": kink_coords, "skipped_coordinates": skipped,
                  "step": step, "worst_coordinate": k})
 
 
-def gradient_structure_loop(kind, j, alphas, tol=1e-9):
+def gradient_structure_loop(kind, j, tol=1e-9):
     """Reference check_gradient_structure: one value_grad per scale."""
     d = kind.d
-    alphas = sorted(alphas)
+    alphas = [0.5, 1.0, 10.0, 100.0]
     worst, witness, lam_prev, lams = -math.inf, None, None, []
     for a in alphas:
         x = structured_point(j, d, a)
@@ -155,8 +155,8 @@ def gradient_structure_loop(kind, j, alphas, tol=1e-9):
             worst, witness = viol, x
     return CertReport(
         name=f"gradient_structure[{kind.label()},j={j}]", samples=len(alphas),
-        worst_violation=float(worst), witness=witness, passed=worst <= tol,
-        tolerance=tol, details={"block_weights": lams, "alphas": list(alphas)})
+        worst_violation=float(worst), witness=witness, tolerance=tol,
+        details={"block_weights": lams, "alphas": alphas})
 
 
 def all_kinds(d):
@@ -219,26 +219,21 @@ class TestSmoothnessCertificate:
 
 class TestGradientFiniteDifference:
     def test_lse_at_symmetric_point(self):
-        report = check_gradient_fd(SmoothingKind.lse(4), np.zeros(4),
-                                   h=1e-5, tol=1e-6)
+        report = check_gradient_fd(SmoothingKind.lse(4), np.zeros(4))
         assert report.passed
         assert not report.details["kink_coordinates"]
 
     def test_quadratic_smooth_region(self):
         report = check_gradient_fd(SmoothingKind.quadratic(3),
-                                   np.array([0.05, -0.3, 0.2]), tol=1e-6)
+                                   np.array([0.05, -0.3, 0.2]))
         assert report.passed
 
     def test_quadratic_active_set_boundary(self):
         # support of the projection changes exactly at x = (1, -1) for c = 2
         kind = SmoothingKind.quadratic(2)
-        report = check_gradient_fd(kind, np.array([1.0, -1.0]), tol=1e-6)
+        report = check_gradient_fd(kind, np.array([1.0, -1.0]))
         assert report.passed
         assert 1 in report.details["kink_coordinates"]
-
-    def test_rejects_tiny_step(self):
-        with pytest.raises(ValueError):
-            check_gradient_fd(SmoothingKind.lse(2), np.zeros(2), h=1e-12)
 
     def test_random_probes_all_kinds(self):
         rng = np.random.default_rng(12)
@@ -246,7 +241,7 @@ class TestGradientFiniteDifference:
                      SmoothingKind.quadratic(6)):
             for _ in range(5):
                 x = rng.standard_normal(kind.d) * 2
-                assert check_gradient_fd(kind, x, tol=1e-6).passed
+                assert check_gradient_fd(kind, x).passed
 
 
 class TestBatchedChecksEqualLoops:
@@ -301,10 +296,9 @@ class TestBatchedChecksEqualLoops:
     def test_gradient_structure(self, d):
         for kind in all_kinds(d):
             for j in range(1, d + 1):
-                for alphas in ((0.5, 1.0, 10.0, 100.0), (100, 0.5, 3)):
-                    report = check_gradient_structure(kind, j, alphas)
-                    ref = gradient_structure_loop(kind, j, alphas)
-                    assert report.to_dict() == ref.to_dict()
+                report = check_gradient_structure(kind, j)
+                ref = gradient_structure_loop(kind, j)
+                assert report.to_dict() == ref.to_dict()
 
 
 class TestGradInSimplex:
@@ -347,8 +341,7 @@ class TestQCertificate:
         assert q >= -1e-9
 
     def test_quadratic_grid_nonnegative(self):
-        report = q_certificate_grid(SmoothingKind.quadratic(3),
-                                    alphas=(0.1, 1.0, 10.0, 100.0), tol=1e-9)
+        report = q_certificate_grid(SmoothingKind.quadratic(3), tol=1e-9)
         assert report.passed
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
@@ -360,14 +353,6 @@ class TestQCertificate:
         assert report.worst_violation == worst
         assert report.witness == witness
         assert report.samples == samples
-
-    def test_grid_rejects_nonpositive_scale(self):
-        for d in (1, 3):
-            for bad in (0.0, math.nan, math.inf):
-                with pytest.raises(ValueError, match="alpha must be positive"):
-                    q_certificate_grid(SmoothingKind.lse(d), alphas=(1.0, bad))
-            with pytest.raises(ValueError, match="alphas must not be empty"):
-                q_certificate_grid(SmoothingKind.lse(d), alphas=())
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -444,32 +429,23 @@ class TestEmpiricalGap:
 class TestGradientStructure:
     def test_full_support_is_uniform_for_all_alpha(self):
         for kind in (SmoothingKind.lse(4), SmoothingKind.quadratic(4)):
-            report = check_gradient_structure(kind, 4, (0.5, 1, 10, 100))
+            report = check_gradient_structure(kind, 4)
             assert report.passed
             for lam in report.details["block_weights"]:
                 assert lam == pytest.approx(0.25, abs=1e-12)
 
     def test_lse_block_weight_monotone_to_limit(self):
-        report = check_gradient_structure(SmoothingKind.lse(4), 2,
-                                          (1.0, 10.0, 100.0))
+        report = check_gradient_structure(SmoothingKind.lse(4), 2)
         assert report.passed
         lams = report.details["block_weights"]
         assert lams == sorted(lams)
         assert lams[-1] == pytest.approx(0.5, abs=1e-9)
 
-    def test_rejects_non_finite_scale(self):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="alpha must be positive"):
-                check_gradient_structure(SmoothingKind.lse(3), 1,
-                                         alphas=(1.0, bad))
-        with pytest.raises(ValueError, match="alphas must not be empty"):
-            check_gradient_structure(SmoothingKind.lse(3), 1, alphas=())
-
     def test_quadratic_vertex_saturation(self):
         kind = SmoothingKind.quadratic(3)
         g = value_grad(kind, structured_point(1, 3, 1000.0)).gradient
         np.testing.assert_allclose(g, [1.0, 0.0, 0.0], atol=1e-15)
-        assert check_gradient_structure(kind, 1, (1.0, 10.0, 1000.0)).passed
+        assert check_gradient_structure(kind, 1).passed
 
 
 class TestPermutationInvariance:
@@ -559,23 +535,25 @@ class TestSuiteAndReports:
         assert report.passed
         assert retained < 2 * 2**20
 
-    @pytest.mark.parametrize("name", ["tol", "tol_smooth", "tol_fd"])
+    @pytest.mark.parametrize("name", ["tol"])
     @pytest.mark.parametrize("value,message", [
         (math.nan, "must be finite"), (math.inf, "must be finite"),
         (-1e-300, "must be nonnegative"), (-1.0, "must be nonnegative")])
     def test_suite_rejects_bad_tolerance(self, name, value, message):
         with pytest.raises(ValueError, match=f"^{name} {message}$"):
-            run_certificate_suite(SmoothingKind.lse(2), count=10,
-                                  **{name: value})
-        if name == "tol":
-            with pytest.raises(ValueError, match=f"^tol {message}$"):
-                empirical_gap(SmoothingKind.lse(2), 1e4,
-                              SamplerConfig(seed=1, count=10), tol=value)
+            run_certificate_suite(SmoothingKind.lse(2), count=10, tol=value)
+        with pytest.raises(ValueError, match=f"^{name} {message}$"):
+            empirical_gap(SmoothingKind.lse(2), 1e4,
+                          SamplerConfig(seed=1, count=10), tol=value)
 
-    def test_report_pass_consistency(self):
-        report = CertReport(name="x", samples=1, worst_violation=-1.0,
-                            witness=None, passed=True, tolerance=0.0)
-        assert report.passed == (report.worst_violation <= report.tolerance)
+    def test_passed_is_derived_from_worst_violation(self):
+        report = CertReport(name="x", samples=1, worst_violation=1.0,
+                            witness=None, tolerance=0.0)
+        assert report.passed is False
+        report.worst_violation = -1.0
+        assert report.passed is True
+        with pytest.raises(AttributeError):
+            report.passed = False
 
     def test_every_suite_report_is_internally_consistent(self):
         for kind in (SmoothingKind.lse(3),

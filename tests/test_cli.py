@@ -432,3 +432,18 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# each request exceeds the address space, so its first large allocation
+# fails at once and no memory is committed
+@pytest.mark.parametrize("argv", [
+    ("verify", "--dim", "2", "--count", "100000000000000"),
+    ("gap", "--dim", "2", "--count", "100000000000000"),
+    ("gamma", "--dims", "100000000000000"),
+    ("regret", "--dim", "100000000", "--horizon", "100000000", "--seeds", "1"),
+], ids=lambda argv: argv[0])
+def test_request_too_large_for_memory_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -100,7 +100,7 @@ def batch_path_smoothed_rows(p, eps, kind, max_iter):
     return rows
 
 
-def batch_path_subgradient_rows(p, iters, step_scale=0.1):
+def batch_path_subgradient_rows(p, iters):
     """Trace rows of the subgradient loop with np.argmax and
     np.linalg.norm on every iteration."""
     y = (p.y0 if p.y0 is not None else np.zeros(p.n)).copy()
@@ -111,7 +111,7 @@ def batch_path_subgradient_rows(p, iters, step_scale=0.1):
         best = min(best, float(vals[i]))
         rows.append((t, float(vals[i]), math.nan,
                      float(np.linalg.norm(jac[i])), best, t))
-        y = y - (step_scale / math.sqrt(t)) * jac[i]
+        y = y - (0.1 / math.sqrt(t)) * jac[i]
     return rows
 
 
@@ -432,7 +432,7 @@ class TestSolveSubgradient:
         a = np.array([1.0, 2.0])
         p = MaxOfSmoothProblem(components=[AffineComponent(a=a, b=0.0)],
                                n=2, L=0.0, M=float(np.linalg.norm(a)))
-        trace = solve_subgradient(p, 50, y0=np.zeros(2), step_scale=0.1)
+        trace = solve_subgradient(p, 50)
         y = np.zeros(2)
         for t in range(1, 51):
             y = y - (0.1 / math.sqrt(t)) * a
@@ -445,7 +445,7 @@ class TestSolveSubgradient:
         comps = [AffineComponent(a=np.array([1.0]), b=0.0),
                  AffineComponent(a=np.array([-1.0]), b=0.0)]
         p = MaxOfSmoothProblem(components=comps, n=1, L=0.0, M=1.0)
-        trace = solve_subgradient(p, 1, y0=np.zeros(1))
+        trace = solve_subgradient(p, 1)
         # at y = 0 both components are 0; index 0 wins, so the step is -a_0
         assert trace.rows[0][1] == 0.0
 
