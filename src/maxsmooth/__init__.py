@@ -48,7 +48,6 @@ from .smoothings import (
     c_constant,
     deviation_interval,
     gap_bound,
-    max_deviation,
     value_grad,
     value_grad_many,
 )

@@ -28,11 +28,20 @@ class AsymptoticConstants:
 
 
 def partition_sum(indices) -> float:
-    """Sum of ((j_l - j_{l-1}) / j_l)^2 along an increasing chain."""
+    """Sum of ((j_l - j_{l-1}) / j_l)^2 along an increasing chain.
+
+    Each link is squared as t * t and added in chain order, as gamma_table
+    does, so an optimal chain sums to its gamma value bitwise (Python's
+    t ** 2 may round differently from t * t).
+    """
     idx = list(indices)
     if idx[0] != 1 or any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError("indices must be strictly increasing and start at 1")
-    return float(sum(((b - a) / b) ** 2 for a, b in zip(idx, idx[1:])))
+    total = 0.0
+    for a, b in zip(idx, idx[1:]):
+        t = (b - a) / b
+        total += t * t
+    return total
 
 
 def gamma_table(d: int):
@@ -172,9 +181,3 @@ def two_term_lower(d: int) -> float:
     if d < 1:
         raise ValueError("d must be >= 1")
     return ((d - 1) / d) ** 2
-
-
-@lru_cache(maxsize=None)
-def gamma_value(d: int) -> float:
-    """Cached gamma(d) value for use as the quadratic smoothing shift."""
-    return gamma(d).value

@@ -18,7 +18,6 @@ from .smoothings import (
     SmoothingKind,
     _point,
     c_constant,
-    center_offset,
     gap_bound,
     value_grad,
 )
@@ -128,10 +127,11 @@ def composite_value_grad(p: MaxOfSmoothProblem, y, eps: float,
                          kind: SmoothingKind):
     """Centered smoothed composite value and gradient at y.
 
-    The composite is (1/s) (f(s g(y)) - offset) with s = 2 delta / eps and
-    delta the kind's gap bound; the offset centers the kind's deviation
-    interval so the composite brackets max_i g_i symmetrically within
-    eps/2.  The gradient is the Jacobian-weighted simplex gradient of f.
+    The composite is (1/s) (f(s g(y)) - shift) with s = 2 delta / eps and
+    delta the kind's gap bound.  The shift range/2 - offset is zero for the
+    centered kinds and range/2 for the others, so the composite brackets
+    max_i g_i symmetrically within eps/2.  The gradient is the
+    Jacobian-weighted simplex gradient of f.
     """
     _check_eps(eps)
     if kind.d != p.d:
@@ -139,7 +139,7 @@ def composite_value_grad(p: MaxOfSmoothProblem, y, eps: float,
     s = _composite_scale(kind, eps)
     vals, jac = p.eval_all(y)
     ev = value_grad(kind, s * vals)
-    value = (ev.value - center_offset(kind)) / s
+    value = (ev.value - (0.5 * kind.range - kind.offset)) / s
     return value, jac.T @ ev.gradient
 
 
@@ -197,7 +197,7 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
     if L_F <= 0.0:  # single exact component with L = 0: any step is valid
         L_F = 1.0
     s = _composite_scale(kind, eps)
-    offset = center_offset(kind)
+    shift = 0.5 * kind.range - kind.offset  # centers the deviation interval
 
     budget = None
     if p.reference_point is not None:
@@ -245,7 +245,7 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
             if obj_x < best:
                 best, best_point = obj_x, x_new.copy()
             sv_x, _ = _point(kind, s * vals_x)
-            smooth_x = (float(sv_x) - offset) / s
+            smooth_x = (float(sv_x) - shift) / s
 
             # the Euclidean norm as np.linalg.norm computes it for a 1-D
             # real vector, without its dispatch

@@ -2,8 +2,10 @@
 
 Every kind is a dual smoothing f(x) = max_{lam in simplex} <lam, x> - h(lam)
 - offset, with h the negative entropy (lse, clse) or the quadratic
-(c/2)(||lam||^2 - 1) (quad, quadc).  The range of h and the offset give the
-exact deviation interval [-offset, range - offset] and the gap bound.
+(c/2)(||lam||^2 - 1) (quad, quadc).  One rule sets the offset: the
+centered kinds (clse, quad) subtract half the range of h, the others
+nothing.  So f - max lies in [-range/2, range/2] or in [0, range], and the
+gap bound is half the range or the whole of it.
 Gradients always land in the probability simplex.  The regularized leader
 in `regret` plays the gradient, through `value_grad` and `value_grad_many`.
 
@@ -18,7 +20,6 @@ import math
 
 import numpy as np
 
-from .bounds import gamma_value
 from .core import _project_simplex_point, as_point, project_simplex_rows
 
 LSE = "lse"
@@ -122,20 +123,26 @@ class SmoothingKind:
 
     @cached_property
     def range(self) -> float:
-        """max h - min h over the simplex: ln d, or (c/2)(1 - 1/d)."""
+        """max h - min h over the simplex: ln d, or (c/2)(1 - 1/d).
+
+        For quad, c = c_d makes it the rational (d - 1)/2 for even d and
+        (d - 1)^2 (d + 1) / (2 d^2) for odd d, rounded once: its half is
+        then the partition bound gamma(d) bitwise at d = 2 and 3.
+        """
+        d = self.d
+        if self.variant == QUADRATIC:
+            if d % 2 == 0:
+                return (d - 1) / 2
+            return (d - 1) ** 2 * (d + 1) / (2 * d * d)
         if self.is_quadratic:
-            return 0.5 * self.regularizer_weight * (1.0 - 1.0 / self.d)
-        return math.log(self.d)
+            return 0.5 * self.c * (1.0 - 1.0 / d)
+        return math.log(d)
 
     @cached_property
     def offset(self) -> float:
-        """Constant subtracted from the dual supremum: ln(d)/2 for clse,
-        the partition bound gamma(d) for quad, zero otherwise."""
-        if self.variant == CENTERED_LSE:
-            return 0.5 * math.log(self.d)
-        if self.variant == QUADRATIC:
-            return gamma_value(self.d)
-        return 0.0
+        """Constant subtracted from the dual supremum: half the range for
+        the centered kinds (clse, quad), zero otherwise."""
+        return 0.5 * self.range if self.centered else 0.0
 
     def label(self) -> str:
         if self.variant == QUADRATIC_CUSTOM:
@@ -227,12 +234,10 @@ def _point(kind, x):
 def gap_bound(kind: SmoothingKind) -> float:
     """Theoretical uniform deviation bound from the max function.
 
-    The half-range for the centered kinds: ln(d)/2 for clse and
-    (c/4)(1 - 1/d) for quad, where the partition-bound shift centers the
-    dual range exactly at d in {2, 3}.  Beyond d = 3 the quad shift no
-    longer centers the range and the half-range is reported anyway; see
-    deviation_interval for the attained extremes.  The full range for the
-    overestimators: ln(d) for lse and (c/2)(1 - 1/d) for quadc.
+    The half-range for the centered kinds, ln(d)/2 for clse and
+    (c_d/4)(1 - 1/d) for quad, whose offset centers the dual range; the
+    full range for the overestimators, ln(d) for lse and (c/2)(1 - 1/d)
+    for quadc.  It equals max |f - sigma_max| over R^d.
     """
     return kind.range * 0.5 if kind.centered else kind.range
 
@@ -241,15 +246,3 @@ def deviation_interval(kind: SmoothingKind):
     """Exact range [lo, hi] of f - sigma_max over all of R^d."""
     # 0.0 - offset rather than -offset: a zero offset gives lo = +0.0
     return 0.0 - kind.offset, kind.range - kind.offset
-
-
-def max_deviation(kind: SmoothingKind) -> float:
-    """Exact worst-case |f - sigma_max|; may exceed gap_bound for quad d>=4."""
-    lo, hi = deviation_interval(kind)
-    return max(abs(lo), abs(hi))
-
-
-def center_offset(kind: SmoothingKind) -> float:
-    """Midpoint of the deviation interval; subtracting it symmetrizes f."""
-    lo, hi = deviation_interval(kind)
-    return 0.5 * (lo + hi)

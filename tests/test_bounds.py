@@ -132,7 +132,18 @@ class TestGamma:
     def test_certificate_recomputes_to_value(self):
         for d in (2, 7, 50, 300):
             cert = gamma(d)
-            assert abs(partition_sum(cert.indices) - cert.value) <= 1e-12
+            assert partition_sum(cert.indices) == cert.value
+
+    def test_every_optimal_chain_sums_to_its_value(self):
+        # one rounding for one chain: summed with ** 2, 39 chains up to
+        # 20000 (the first at d = 1202) missed g[d] by an ulp
+        g, pred = gamma_table(20000)
+        pred = pred.tolist()
+        for d in range(1, 20001):
+            chain = [d]
+            while chain[-1] != 1:
+                chain.append(pred[chain[-1]])
+            assert partition_sum(chain[::-1]) == g[d], d
 
     def test_every_chain_is_exactly_optimal(self):
         # exact ties such as m = 175 (49 and 50) may be broken either way,

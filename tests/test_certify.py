@@ -404,7 +404,17 @@ class TestEmpiricalGap:
     def test_estimate_below_deviation_bound(self, kind):
         report = empirical_gap(kind, 1e4, SamplerConfig(seed=1, count=500))
         assert report.passed
-        assert report.details["estimate"] <= report.details["deviation_bound"] + 1e-9
+        assert report.details["gap_bound"] == gap_bound(kind)
+        assert report.details["estimate"] <= gap_bound(kind) + 1e-9
+
+    @pytest.mark.parametrize("d", range(4, 13))
+    def test_quadratic_gap_attained_beyond_three(self, d):
+        # the origin attains the half-range once the offset centers quad
+        kind = SmoothingKind.quadratic(d)
+        report = empirical_gap(kind, 1e4, SamplerConfig(seed=1, count=200))
+        assert report.passed
+        assert abs(report.details["estimate"] - gap_bound(kind)) \
+            <= report.tolerance
 
     @pytest.mark.parametrize("text", ["lse", "clse", "quad", "quadc:0.5"])
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 20])
@@ -418,12 +428,6 @@ class TestEmpiricalGap:
             kind, alpha_max, sample[0])
         assert estimate == ref_estimate and samples == ref_samples
         np.testing.assert_array_equal(witness, ref_witness)
-
-    def test_uncentered_range_shows_beyond_three(self):
-        # at d >= 4 the attained deviation exceeds the reported half-range
-        report = empirical_gap(SmoothingKind.quadratic(6), 1e4,
-                               SamplerConfig(seed=1, count=500))
-        assert report.details["estimate"] > report.details["gap_bound"]
 
 
 class TestGradientStructure:

@@ -1,6 +1,7 @@
 """Command-line surface tests: tables, exit codes, determinism, and the
 machine-readable formats."""
 
+import contextlib
 import csv
 import gc
 import io
@@ -13,6 +14,8 @@ import weakref
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import maxsmooth
 from maxsmooth import regret
@@ -447,3 +450,59 @@ def test_request_too_large_for_memory_exits_2(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# small sizes only: a request too large for memory has its own test above.
+# Float options mix valid values with zero, negative and non-finite ones;
+# --alpha-max stays at or below 1e8 (quad's scan overflows near 1.7e308)
+FLOATS = st.sampled_from(["-1", "0", "nan", "inf", "-inf", "1e-300",
+                          "1e-9", "1e-3", "0.5", "1", "1e4", "1e8"])
+SIZES = st.integers(-1, 6).map(str)
+COUNTS = st.integers(-1, 50).map(str)
+KINDS = st.one_of(st.sampled_from(["lse", "clse", "quad", "softmax"]),
+                  FLOATS.map("quadc:{}".format), st.just("quadc:c"))
+
+
+def _command(head, **options):
+    """argv strategy: the fixed head, then each option present or absent."""
+    flags = [st.just([]) | value.map(lambda v, k=k: [
+        "--" + k.replace("_", "-"), v]) for k, value in options.items()]
+    return st.tuples(*flags).map(
+        lambda parts: head + [t for part in parts for t in part])
+
+
+ARGVS = st.one_of(
+    _command(["gamma"],
+             dims=st.lists(SIZES, max_size=4).map(",".join)
+             | st.sampled_from(["x", "3,,4", " "]),
+             format=st.sampled_from(["csv", "json"])),
+    _command(["verify"], kind=KINDS, dim=SIZES, count=COUNTS, tol=FLOATS,
+             seed=st.integers(0, 9).map(str)),
+    _command(["gap"], kind=KINDS, dim=SIZES, count=COUNTS, tol=FLOATS,
+             alpha_max=FLOATS),
+    st.tuples(st.sampled_from(["abs.json", "affine20.json"]),
+              st.integers(-1, 50)).flatmap(lambda t: _command(
+                  ["solve", "--problem", instance_path(t[0]),
+                   "--max-iter", str(t[1])],
+                  kind=KINDS, eps=FLOATS,
+                  budget_factor=st.integers(-1, 4).map(str))),
+    _command(["regret"], dim=SIZES, horizon=COUNTS,
+             seeds=st.integers(-1, 2).map(str),
+             reg=st.sampled_from(["entropy", "quad"]),
+             eta=FLOATS | st.just("1e308")),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=ARGVS)
+def test_every_subcommand_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert "Traceback" not in err.getvalue()

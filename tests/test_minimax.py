@@ -23,7 +23,6 @@ from maxsmooth.minimax import (
 )
 from maxsmooth.smoothings import (
     SmoothingKind,
-    center_offset,
     gap_bound,
     value_grad_many,
 )
@@ -73,7 +72,7 @@ def batch_path_smoothed_rows(p, eps, kind, max_iter):
     delta = gap_bound(kind)
     L_F = p.L + 2.0 * delta * p.M ** 2 / eps
     s = 2.0 * delta / eps
-    offset = center_offset(kind)
+    shift = 0.5 * kind.range - kind.offset
     target = None if p.optimal_value is None else p.optimal_value + eps
     y0 = p.y0 if p.y0 is not None else np.zeros(p.n)
     x_prev, v, t_k = y0.copy(), y0.copy(), 1.0
@@ -90,7 +89,7 @@ def batch_path_smoothed_rows(p, eps, kind, max_iter):
         obj_x = float(vals_x.max())
         best = min(best, obj_x)
         sv_x, _ = value_grad_many(kind, (s * vals_x)[None, :])
-        rows.append((k, obj_x, (float(sv_x[0]) - offset) / s,
+        rows.append((k, obj_x, (float(sv_x[0]) - shift) / s,
                      float(np.linalg.norm(grad)), best, calls))
         if target is not None and best <= target:
             break

@@ -3,6 +3,7 @@ grid-search oracles, exact gap formulas, and the sampled contracts."""
 
 import math
 from decimal import Decimal, getcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,17 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from maxsmooth.bounds import gamma_value
+from maxsmooth import bounds, smoothings
+from maxsmooth.bounds import gamma
 from maxsmooth.core import sigma_max, structured_point
 from maxsmooth.smoothings import (
     _BLOCK_CELLS,
     SmoothingKind,
     _rows,
     c_constant,
-    center_offset,
     deviation_interval,
     gap_bound,
-    max_deviation,
     value_grad,
     value_grad_many,
 )
@@ -29,6 +29,12 @@ from maxsmooth.smoothings import (
 def is_simplex_point(w, tol):
     """True if w is nonnegative and sums to 1, both within tol."""
     return bool(np.all(w >= -tol) and abs(float(w.sum()) - 1.0) <= tol)
+
+
+def quad_range_exact(d):
+    """(c_d/2)(1 - 1/d) in rationals, rounded once to a float."""
+    c = Fraction(d) if d % 2 == 0 else Fraction(d * d - 1, d)
+    return float(c / 2 * (1 - Fraction(1, d)))
 
 
 def lse_decimal(xs, prec=60):
@@ -180,6 +186,28 @@ class TestGapFormulas:
         assert gap_bound(SmoothingKind.quadratic(3)) == pytest.approx(
             4.0 / 9.0, abs=1e-15)
 
+    def test_quadratic_offset_is_the_partition_bound_below_four(self):
+        # half the exact rational range, rounded once, is gamma(d) bitwise
+        assert SmoothingKind.quadratic(2).offset == 0.25 == gamma(2).value
+        assert SmoothingKind.quadratic(3).offset == 4 / 9 == gamma(3).value
+
+    def test_centered_intervals_are_symmetric(self):
+        for d in range(1, 51):
+            for kind in (SmoothingKind.centered_lse(d),
+                         SmoothingKind.quadratic(d)):
+                g = gap_bound(kind)
+                assert deviation_interval(kind) == (-g, g)
+
+    def test_offset_needs_no_partition_table(self, monkeypatch):
+        # the offset is a closed form: a million-dimensional quad runs no DP
+        def no_dp(d):
+            raise AssertionError(f"gamma_table({d}) was run")
+
+        monkeypatch.setattr(bounds, "gamma_table", no_dp)
+        kind = SmoothingKind.quadratic(10**6)
+        assert kind.offset == 0.5 * kind.range == (10**6 - 1) / 4
+        assert "bounds" not in vars(smoothings)
+
     def test_lse(self):
         assert gap_bound(SmoothingKind.lse(3)) == pytest.approx(math.log(3),
                                                                 abs=1e-15)
@@ -188,13 +216,13 @@ class TestGapFormulas:
         # exact ==, not approx; == cannot tell -0.0 from 0.0, which is fine
         for d in range(1, 13):
             log_d = math.log(d)
-            c_d = 1.0 if d == 1 else c_constant(d)
+            quad_range = quad_range_exact(d)
             cases = [
                 (SmoothingKind.lse(d), log_d, 0.0, log_d),
                 (SmoothingKind.centered_lse(d), log_d, 0.5 * log_d,
                  0.5 * log_d),
-                (SmoothingKind.quadratic(d), 0.5 * c_d * (1.0 - 1.0 / d),
-                 gamma_value(d), 0.25 * c_d * (1.0 - 1.0 / d)),
+                (SmoothingKind.quadratic(d), quad_range, 0.5 * quad_range,
+                 0.5 * quad_range),
             ]
             for c in (0.5, 2.0, 7.3, 1e3):
                 full = 0.5 * c * (1.0 - 1.0 / d)
@@ -206,8 +234,6 @@ class TestGapFormulas:
                 assert kind.offset == offset
                 assert gap_bound(kind) == gap
                 assert deviation_interval(kind) == (lo, hi)
-                assert max_deviation(kind) == max(abs(lo), abs(hi))
-                assert center_offset(kind) == 0.5 * (lo + hi)
 
     def test_deviation_interval_consistency(self):
         for kind in (SmoothingKind.lse(5), SmoothingKind.centered_lse(5),
@@ -215,24 +241,7 @@ class TestGapFormulas:
                      SmoothingKind.quadratic_custom(5, 9.0)):
             lo, hi = deviation_interval(kind)
             assert lo <= 0.0 <= hi
-            assert max_deviation(kind) == max(abs(lo), abs(hi))
-            assert center_offset(kind) == pytest.approx((lo + hi) / 2)
-
-    def test_quadratic_centering_only_below_four(self):
-        for d in (2, 3):
-            assert center_offset(SmoothingKind.quadratic(d)) == pytest.approx(
-                0.0, abs=1e-15)
-            assert max_deviation(SmoothingKind.quadratic(d)) == pytest.approx(
-                gap_bound(SmoothingKind.quadratic(d)), abs=1e-15)
-        # beyond d=3 the shift undershoots the half-range: the interval is
-        # [-gamma, range - gamma] and the upper end dominates
-        kind = SmoothingKind.quadratic(4)
-        full_range = 2.0 * gap_bound(kind)
-        assert deviation_interval(kind) == pytest.approx(
-            (-gamma_value(4), full_range - gamma_value(4)), abs=1e-15)
-        assert max_deviation(kind) == pytest.approx(
-            full_range - gamma_value(4), abs=1e-15)
-        assert max_deviation(kind) > gap_bound(kind)
+            assert max(abs(lo), abs(hi)) == gap_bound(kind)
 
     def test_gap_attained_at_origin_and_vertex_ray(self):
         for d in (2, 3):
