@@ -14,12 +14,18 @@ count) and the tolerance of the other reports are chosen by the caller.
 
 The sampled checks are private bodies that `run_certificate_suite` runs on
 one sample, drawn and evaluated once.  `empirical_gap` alone is also
-public, for the `gap` command, and then draws its own sample.  Probe
-points, finite-difference stencils and structure scales are evaluated in
-batches, and the ray half of a sample comes from one row-wise shuffle that
-draws the generator stream of one permutation per row.  Reports are
-bitwise those of single-point evaluation, because `_point` returns
-bitwise what `_rows` returns and rows are evaluated independently.
+public, for the `gap` command, and then draws its own sample and keeps
+only its values.  Only the sample and its gradients are held whole, with
+a quarter-sample of independent smoothness partners: the other partners,
+the permutations and every other count x d temporary are formed in row
+blocks of `_BLOCK_CELLS` cells, so peak memory is about 2.4 count x d
+floats plus O(_BLOCK_CELLS).  Probe points, finite-difference stencils
+and structure scales are evaluated in batches, and the ray half of a
+sample comes from one row-wise shuffle per block that draws the generator
+stream of one permutation per row.  Generator draws split into blocks
+are those of one draw, so reports are bitwise those of whole-array
+checks, and of single-point evaluation, because `_point` returns bitwise
+what `_rows` returns and rows are evaluated independently.
 """
 
 from dataclasses import dataclass, field, replace
@@ -31,6 +37,7 @@ import numpy as np
 from .bounds import gamma
 from .core import as_point, structured_point
 from .smoothings import (
+    _BLOCK_CELLS,
     SmoothingKind,
     gap_bound,
     value_grad,
@@ -97,27 +104,39 @@ def reports_to_json(reports) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
+def _blocks(n, d):
+    """Slices of consecutive rows, _BLOCK_CELLS cells (one row at least)
+    each: the blocks of `value_grad_many`."""
+    step = max(1, _BLOCK_CELLS // d)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 def _sample_points(cfg: SamplerConfig, d: int, rng) -> np.ndarray:
     n = cfg.count
-    if cfg.distribution == "gaussian":
-        return rng.standard_normal((n, d))
-    half = n // 2
-    gauss = rng.standard_normal((n - half, d))
-    rays = _sample_rays(d, half, rng) if half else np.zeros((0, d))
-    return np.vstack([gauss, rays])
-
-
-def _sample_rays(d, n, rng):
-    js = rng.integers(1, d + 1, size=n)
-    alphas = 10.0 ** rng.uniform(-2.0, 2.0, size=n)
-    # one shuffle of every row draws, in row order, what one
-    # rng.permutation(d) per row draws; row r puts alpha / j on the first j
-    # columns of its permutation and zero on the rest, so every cell is set
-    perms = rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
-    lead = np.where(np.arange(d) < js[:, None], (alphas / js)[:, None], 0.0)
     X = np.empty((n, d))
-    np.put_along_axis(X, perms, lead, axis=1)
+    gauss = n - n // 2 if cfg.distribution == "mixed" else n
+    rng.standard_normal(out=X[:gauss])
+    if gauss < n:
+        _sample_rays(X[gauss:], rng)
     return X
+
+
+def _sample_rays(X, rng):
+    """Fill the rows of X with rays alpha * x_j, coordinates permuted."""
+    n, d = X.shape
+    js = rng.integers(1, d + 1, size=n)
+    lead = 10.0 ** rng.uniform(-2.0, 2.0, size=n) / js
+    for block in _blocks(n, d):
+        # one shuffle of the block's rows draws, in row order, what one
+        # rng.permutation(d) per row draws; row r puts alpha / j on the
+        # first j columns of its permutation and zero on the rest, so every
+        # cell is set
+        perms = np.tile(np.arange(d), (block.stop - block.start, 1))
+        rng.permuted(perms, axis=1, out=perms)
+        np.put_along_axis(
+            X[block], perms,
+            np.where(np.arange(d) < js[block, None], lead[block, None], 0.0),
+            axis=1)
 
 
 def _evaluated_sample(kind: SmoothingKind, cfg: SamplerConfig):
@@ -132,26 +151,6 @@ def _evaluated_sample(kind: SmoothingKind, cfg: SamplerConfig):
     X = _sample_points(cfg, kind.d, rng)
     vals, G = value_grad_many(kind, X)
     return X, vals, G, rng.bit_generator.state
-
-
-def _sample_pairs(cfg: SamplerConfig, X, state):
-    """The partners Y of the sample X: mostly nearby perturbations, every
-    fourth independent, drawn from the generator state after X.
-
-    Close pairs are the discriminating ones for gradient-Lipschitz checks;
-    far pairs guard the large-separation regime.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    rng.bit_generator.state = state
-    d = X.shape[1]
-    rho = 10.0 ** rng.uniform(-3.0, 0.5, size=cfg.count)
-    U = rng.standard_normal((cfg.count, d))
-    independent = np.arange(cfg.count) % 4 == 0
-    Y = X + rho[:, None] * U
-    if independent.any():
-        Y[independent] = _sample_points(
-            replace(cfg, count=int(independent.sum())), d, rng)
-    return Y
 
 
 def _check_tolerance(name, value):
@@ -180,29 +179,63 @@ def _worst_row(name, kind, cfg, viol, X, tol, **details):
 def _smoothness(kind, cfg, tol, sample):
     """Sampled gradient-Lipschitz check: ||grad(x)-grad(y)||_1 <= ||x-y||_inf.
 
+    The partner of row i is the nearby x + rho_i u_i, or an independent
+    point when i % 4 == 0: close pairs are the discriminating ones, far
+    pairs guard the large-separation regime.  rho, then u and then the
+    independent points are drawn from the generator state after the
+    sample, so u is drawn for every row.  Nearby partners are drawn and
+    evaluated in row blocks, and only the first maximum's is kept.
     The violation is normalized by max(1, ||x-y||_inf); coincident pairs
     are skipped as trivially satisfied.
     """
     X, _, GX, state = sample
-    Y = _sample_pairs(cfg, X, state)
-    # both differences overwrite the fresh gradients of Y, so no count x d
-    # temporaries stand beside the sample and its gradients
-    _, D = value_grad_many(kind, Y)
-    dual = np.abs(np.subtract(GX, D, out=D), out=D).sum(axis=1)
-    primal = np.abs(np.subtract(X, Y, out=D), out=D).max(axis=1)
+    n, d = X.shape
+    rng = np.random.default_rng(cfg.seed)
+    rng.bit_generator.state = state
+    rho = 10.0 ** rng.uniform(-3.0, 0.5, size=n)
+    dual, primal = np.empty(n), np.empty(n)
+
+    def pair(rows, Xr, Y):
+        # both differences overwrite the fresh gradients of Y
+        _, D = value_grad_many(kind, Y)
+        dual[rows] = np.abs(np.subtract(GX[rows], D, out=D), out=D).sum(axis=1)
+        primal[rows] = np.abs(np.subtract(Xr, Y, out=D), out=D).max(axis=1)
+
+    best = None  # (violation, partner) of the first maximum over nearby rows
+    for block in _blocks(n, d):
+        U = rng.standard_normal((block.stop - block.start, d))
+        rows = np.arange(block.start, block.stop)
+        near = rows % 4 != 0
+        rows = rows[near]
+        Xr = X[rows]
+        Y = Xr + rho[rows, None] * U[near]
+        pair(rows, Xr, Y)
+        if rows.size:  # a one-row block may hold an independent row only
+            p = primal[rows]
+            viol = np.where(p > 0.0, (dual[rows] - p) / np.maximum(1.0, p),
+                            -np.inf)
+            j = int(np.argmax(viol))
+            # np.argmax across blocks: a later block wins when strictly
+            # greater, or NaN over a number
+            if best is None or np.argmax([best[0], viol[j]]):
+                best = (viol[j], Y[j].copy())
+    P = _sample_points(replace(cfg, count=len(range(0, n, 4))), d, rng)
+    for block in _blocks(len(P), d):
+        rows = 4 * np.arange(block.start, block.stop)
+        pair(rows, X[rows], P[block])
     keep = primal > 0.0
     raw = dual[keep] - primal[keep]
     normalized = raw / np.maximum(1.0, primal[keep])
     k = int(np.argmax(normalized))
     worst = float(normalized[k])
-    # copies of the one witness row, not of the kept count x d arrays
     i = np.flatnonzero(keep)[k]
-    witness = (X[i].copy(), Y[i].copy())
+    # the first maximum over all rows is, if nearby, that over nearby rows
+    y = best[1] if i % 4 else P[i // 4].copy()
     return CertReport(
         name=f"smoothness[{kind.label()}]",
         samples=int(keep.sum()),
         worst_violation=worst,
-        witness=witness,
+        witness=(X[i].copy(), y),
         tolerance=tol,
         seed=cfg.seed,
         details={"raw_violation": float(raw[k]), "skipped": int((~keep).sum())},
@@ -320,7 +353,9 @@ def q_certificate_grid(kind: SmoothingKind, tol: float = 1e-9) -> CertReport:
 def _expectation(kind, delta, cfg, tol, sample):
     """<grad f(x), x> >= sigma_max(x) - 2*delta on every sample."""
     X, _, G, _ = sample
-    viol = X.max(axis=1) - 2.0 * delta - (G * X).sum(axis=1)
+    viol = X.max(axis=1) - 2.0 * delta
+    for block in _blocks(*X.shape):
+        viol[block] -= (G[block] * X[block]).sum(axis=1)
     return _worst_row("expectation_guarantee", kind, cfg, viol, X, tol,
                       delta=delta)
 
@@ -336,8 +371,11 @@ def empirical_gap(kind: SmoothingKind, alpha_max: float,
     if not 0.0 < alpha_max < math.inf:
         raise ValueError("alpha_max must be positive and finite")
     _check_tolerance("tol", tol)
-    return _empirical_gap(kind, alpha_max, cfg, tol,
-                          _evaluated_sample(kind, cfg))
+    X = _sample_points(cfg, kind.d, np.random.default_rng(cfg.seed))
+    vals = np.empty(len(X))  # the scan reads no gradients
+    for block in _blocks(*X.shape):
+        vals[block] = value_grad_many(kind, X[block])[0]
+    return _empirical_gap(kind, alpha_max, cfg, tol, (X, vals))
 
 
 def _empirical_gap(kind, alpha_max, cfg, tol, sample):
@@ -423,15 +461,19 @@ def check_gradient_structure(kind: SmoothingKind, j: int,
 
 def _permutation(kind, cfg, tol, sample):
     """f(Px) = f(x) and grad f(Px) = P grad f(x), one random P per sample,
-    drawn from the generator state after the sample."""
+    drawn from the generator state after the sample, a row block at a
+    time."""
     X, vals, G, state = sample
     rng = np.random.default_rng(cfg.seed)
     rng.bit_generator.state = state
-    perms = np.argsort(rng.random((cfg.count, kind.d)), axis=1)
-    Xp = np.take_along_axis(X, perms, axis=1)
-    vals_p, Gp = value_grad_many(kind, Xp)
-    viol = np.maximum(np.abs(vals_p - vals),
-                      np.abs(Gp - np.take_along_axis(G, perms, axis=1)).max(axis=1))
+    viol = np.empty(len(X))
+    for block in _blocks(*X.shape):
+        perms = np.argsort(rng.random((block.stop - block.start, kind.d)),
+                           axis=1)
+        vals_p, Gp = value_grad_many(
+            kind, np.take_along_axis(X[block], perms, axis=1))
+        Gp = np.abs(Gp - np.take_along_axis(G[block], perms, axis=1))
+        viol[block] = np.maximum(np.abs(vals_p - vals[block]), Gp.max(axis=1))
     return _worst_row("permutation_invariance", kind, cfg, viol, X, tol)
 
 

@@ -2,6 +2,7 @@
 kinds, the engineered failure below the threshold constant, kink-aware
 finite differences, and the telescoping witness."""
 
+from dataclasses import replace
 import json
 import math
 import tracemalloc
@@ -88,6 +89,70 @@ def sample_rays_loop(d, n, rng):
     for row, (j, a) in enumerate(zip(js, alphas)):
         X[row, rng.permutation(d)[:j]] = a / j
     return X
+
+
+def sample_points_oracle(cfg, d, rng):
+    """Reference _sample_points: the Gaussian rows and the per-row rays
+    drawn whole and stacked."""
+    n = cfg.count
+    if cfg.distribution == "gaussian":
+        return rng.standard_normal((n, d))
+    half = n // 2
+    gauss = rng.standard_normal((n - half, d))
+    rays = sample_rays_loop(d, half, rng) if half else np.zeros((0, d))
+    return np.vstack([gauss, rays])
+
+
+def smoothness_oracle(kind, cfg, tol, sample):
+    """Reference _smoothness: every partner drawn whole, the independent
+    rows overwritten, and all partners evaluated in one batch."""
+    X, _, GX, state = sample
+    rng = np.random.default_rng(cfg.seed)
+    rng.bit_generator.state = state
+    d = X.shape[1]
+    rho = 10.0 ** rng.uniform(-3.0, 0.5, size=cfg.count)
+    U = rng.standard_normal((cfg.count, d))
+    independent = np.arange(cfg.count) % 4 == 0
+    Y = X + rho[:, None] * U
+    if independent.any():
+        Y[independent] = sample_points_oracle(
+            replace(cfg, count=int(independent.sum())), d, rng)
+    dual = np.abs(GX - value_grad_many(kind, Y)[1]).sum(axis=1)
+    primal = np.abs(X - Y).max(axis=1)
+    keep = primal > 0.0
+    raw = dual[keep] - primal[keep]
+    normalized = raw / np.maximum(1.0, primal[keep])
+    k = int(np.argmax(normalized))
+    i = np.flatnonzero(keep)[k]
+    return CertReport(
+        name=f"smoothness[{kind.label()}]", samples=int(keep.sum()),
+        worst_violation=float(normalized[k]), witness=(X[i], Y[i]),
+        tolerance=tol, seed=cfg.seed,
+        details={"raw_violation": float(raw[k]),
+                 "skipped": int((~keep).sum())})
+
+
+def expectation_oracle(kind, delta, cfg, tol, sample):
+    """Reference _expectation over the whole sample at once."""
+    X, _, G, _ = sample
+    viol = X.max(axis=1) - 2.0 * delta - (G * X).sum(axis=1)
+    return certify._worst_row("expectation_guarantee", kind, cfg, viol, X,
+                              tol, delta=delta)
+
+
+def permutation_oracle(kind, cfg, tol, sample):
+    """Reference _permutation: every permutation drawn and every permuted
+    point evaluated in one batch."""
+    X, vals, G, state = sample
+    rng = np.random.default_rng(cfg.seed)
+    rng.bit_generator.state = state
+    perms = np.argsort(rng.random((cfg.count, kind.d)), axis=1)
+    vals_p, Gp = value_grad_many(kind, np.take_along_axis(X, perms, axis=1))
+    viol = np.maximum(np.abs(vals_p - vals),
+                      np.abs(Gp - np.take_along_axis(G, perms, axis=1))
+                      .max(axis=1))
+    return certify._worst_row("permutation_invariance", kind, cfg, viol, X,
+                              tol)
 
 
 def gradient_fd_loop(kind, x):
@@ -178,7 +243,8 @@ class TestRaySampler:
     def test_draw_and_stream_equal_per_row_loop(self, d, n):
         for seed in (0, 17, 20250808):
             rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-            X = certify._sample_rays(d, n, rng)
+            X = np.full((n, d), np.nan)
+            certify._sample_rays(X, rng)
             ref = sample_rays_loop(d, n, ref_rng)
             assert X.shape == ref.shape and X.tobytes() == ref.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -524,6 +590,65 @@ class TestSuiteAndReports:
         expected = report.to_dict()
         report.witness[:] = 1e6
         assert empirical_gap(kind, 1e4, CFG).to_dict() == expected
+
+    @pytest.mark.parametrize("name,d,count,seed,independent_witness", [
+        ("lse", 700, 1001, 20250808, True),
+        ("quad", 300, 2503, 20250808, True),
+        ("clse", 90, 1, 1, None),
+        ("clse", 90, 2, 1, None),
+        ("clse", 90, 3, 1, None),
+        ("quadc:1", 5, 30000, 3, False),
+        ("quadc:1", 5, 30000, 5, False),
+    ])
+    def test_row_blocks_equal_whole_array_oracle(
+            self, monkeypatch, name, d, count, seed, independent_witness):
+        # the shapes span several row blocks and end in a partial one; the
+        # q-grid reads no sample and takes seconds at d = 700, so both
+        # suites share one stand-in for it
+        kind = SmoothingKind.parse(name, d)
+        grid = q_certificate_grid(SmoothingKind.lse(2))
+        monkeypatch.setattr(certify, "q_certificate_grid",
+                            lambda kind, tol: grid)
+        reports = run_certificate_suite(kind, seed=seed, count=count)
+        for body, oracle in (("_sample_points", sample_points_oracle),
+                             ("_smoothness", smoothness_oracle),
+                             ("_expectation", expectation_oracle),
+                             ("_permutation", permutation_oracle)):
+            monkeypatch.setattr(certify, body, oracle)
+        expected = run_certificate_suite(kind, seed=seed, count=count)
+        assert reports_to_json(reports) == reports_to_json(expected)
+        assert reports[0].passed == (name != "quadc:1")
+        if independent_witness is not None:
+            # the smoothness witness is the sample row i: an independent
+            # partner when i % 4 == 0, a nearby one kept from its block otherwise
+            X = certify._evaluated_sample(kind, SamplerConfig(
+                seed=seed, count=count, distribution="mixed"))[0]
+            row = np.flatnonzero((X == reports[0].witness[0]).all(axis=1))
+            assert (row[0] % 4 == 0) == independent_witness
+
+    def test_suite_peak_memory_is_bounded(self):
+        # the sample and its gradients are two count x d arrays; every
+        # other temporary is a row block or a quarter of the sample
+        kind, count = SmoothingKind.lse(300), 10_000
+        tracemalloc.start()
+        try:
+            run_certificate_suite(kind, count=count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * count * kind.d
+
+    def test_standalone_gap_holds_no_gradients(self):
+        # the scan reads the sample's values only, so beside the sample
+        # itself only row blocks are allocated
+        kind, count = SmoothingKind.lse(100), 20_000
+        tracemalloc.start()
+        try:
+            empirical_gap(kind, 1e4, SamplerConfig(seed=6, count=count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * count * kind.d
 
     def test_standalone_check_retains_no_sample(self):
         # the 20000 x 100 sample and its gradients are 32 MB; once the
