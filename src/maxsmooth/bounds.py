@@ -3,7 +3,6 @@ gamma(d) computed by dynamic programming with certificate recovery, the
 transcendental constant behind the asymptotic slope, and the logarithmic
 sandwich bounds."""
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 import math
@@ -44,6 +43,15 @@ def partition_sum(indices) -> float:
     return total
 
 
+# Rows m <= _DIRECT scan every candidate i <= ceil(m/2); above it the
+# divide and conquer narrows each row's candidates to a range.  At most
+# _FRONTIER rows and _SLICE candidates go into one numpy batch, so the
+# temporaries stay bounded whatever d is.
+_DIRECT = 256
+_SLICE = 100_000
+_FRONTIER = 1 << 10
+
+
 def gamma_table(d: int):
     """DP table for the partition recurrence up to d.
 
@@ -54,7 +62,10 @@ def gamma_table(d: int):
     point only: at m = 175 the exact maximizers are 49 and 50 and the
     rounded sums make 50 the larger one (m = 1326: 390 and 391), so an
     exact tie may be broken toward the larger index; either choice
-    continues an optimal chain.  O(d log d) time and O(d) memory.
+    continues an optimal chain.  The table for d is the first d + 1
+    entries of the table for any larger d.  O(d log d) work in numpy
+    batches, O(d) memory: the two returned arrays and temporaries bounded
+    by constants.
 
     Only i <= ceil(m/2) can be needed.  Take a chain to m whose last point
     before m lies above ceil(m/2), and split it at its last point
@@ -72,81 +83,122 @@ def gamma_table(d: int):
 
     On that range the choice of i is monotone: for i < j <= ceil(m/2),
     i + j <= m and d/dm [w(j, m) - w(i, m)] = 2(j - i)(m - i - j)/m^3 >= 0
-    for w(i, m) = (1 - i/m)^2, so once j overtakes i it stays ahead.
-    Candidate j enters at m = 2j - 1 and a queue keeps, for each live
-    candidate, the first m at which it is the argmax, found by a doubling
-    then binary search when it enters.  A later candidate takes over only
-    when its float sum is strictly larger, which keeps the smallest-index
-    tie rule among equal float sums.
+    for w(i, m) = (1 - i/m)^2, so once j overtakes i it stays ahead, and
+    the smallest maximizer never decreases with m.  The rows are filled in
+    blocks [a, 2a - 2], whose candidates i <= a - 1 are all final when the
+    block starts.  Inside a block the divide and conquer of monotone
+    matrix search (Aggarwal, Klawe, Moran, Shor and Wilber, 1987) solves
+    the rows level by level, each over the candidates between the
+    maximizers of its two nearest solved neighbours (predecessors[a - 1]
+    on the left of the block), capped at ceil(m/2).  Each candidate's sum
+    is computed as t = (m - i) / m; g[i] + t * t, and the smallest i
+    attaining a row's float maximum is kept.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    g = array("d", [0.0]) * (d + 1)
-    pred = array("q", [0]) * (d + 1)
-    # live candidates q[head:tail:2], each followed by the m from which it
-    # is the argmax
-    q = array("q", [0]) * (d + 3)
-    q[0], head, tail = 1, 0, 2
-    for m in range(2, d + 1):
-        if m & 1:
-            j = (m + 1) >> 1
-            gj = g[j]
-            while head < tail:
-                i = q[tail - 2]
-                gi = g[i]
-                lo = max(q[tail - 1], m)
-                t, u = (lo - j) / lo, (lo - i) / lo
-                if gj + t * t > gi + u * u:
-                    tail -= 2  # j beats i over all of i's range
-                    continue
-                # first x in (lo, d] at which j beats i: double the step
-                # until j is ahead at hi, then bisect (j is behind at lo)
-                step, hi = 1, lo + 1
-                while hi < d:
-                    t, u = (hi - j) / hi, (hi - i) / hi
-                    if gj + t * t > gi + u * u:
-                        break
-                    lo, step = hi, 2 * step
-                    hi = lo + step
-                else:
-                    hi = d
-                    t, u = (d - j) / d, (d - i) / d
-                    if not gj + t * t > gi + u * u:
-                        break  # j never leads up to d
-                while hi - lo > 1:
-                    x = (lo + hi) >> 1
-                    t, u = (x - j) / x, (x - i) / x
-                    if gj + t * t > gi + u * u:
-                        hi = x
-                    else:
-                        lo = x
-                q[tail], q[tail + 1] = j, hi
-                tail += 2
-                break
-            else:
-                q[tail], q[tail + 1] = j, m
-                tail += 2
-        while tail - head > 2 and q[head + 3] <= m:
-            head += 2
-        i = q[head]
-        t = (m - i) / m
-        g[m] = g[i] + t * t
-        pred[m] = i
-    return np.frombuffer(g, dtype=np.float64), np.frombuffer(pred, dtype=np.int64)
+    g = np.zeros(d + 1)
+    pred = np.zeros(d + 1, dtype=np.int64)
+    a = 2
+    while a <= d:
+        b = min(2 * a - 2, d)
+        if b <= _DIRECT:
+            m = np.arange(a, b + 1)
+            g[a:b + 1], pred[a:b + 1] = _row_maxima(g, m, np.ones_like(m),
+                                                    (m + 1) >> 1)
+        else:
+            _fill_block(g, pred, a, b)
+        a = b + 1
+    return g, pred
+
+
+def _fill_block(g, pred, a, b):
+    """Rows a..b (b <= 2a - 2) by divide and conquer over the argmax.
+
+    Row a - 1 + x is solved at the level of the largest power of two h
+    that divides x, from the largest h down to 1.  Its neighbours
+    a - 1 + x -+ h are then row a - 1, rows past b, or rows of an earlier
+    level, and their predecessors bound its candidates.  The rows of a
+    level are independent and are taken _FRONTIER at a time.
+    """
+    n = b - a + 1
+    h = 1 << n.bit_length()
+    while h > 1:
+        h >>= 1
+        count = (n // h + 1) // 2  # odd multiples of h up to n
+        for j in range(0, count, _FRONTIER):
+            m = a - 1 + h * (2 * np.arange(j, min(j + _FRONTIER, count)) + 1)
+            cap = (m + 1) >> 1
+            right = m + h
+            hi = np.where(right <= b,
+                          np.minimum(pred[np.minimum(right, b)], cap), cap)
+            g[m], pred[m] = _row_maxima(g, m, pred[m - h], hi)
+
+
+def _row_maxima(g, m, lo, hi):
+    """Maximum of g[i] + ((m - i)/m)^2 over lo <= i <= hi for each row m,
+    and the smallest i attaining it.
+
+    The rows' candidate ranges are laid end to end and evaluated _SLICE at
+    a time.  A row cut by a slice boundary keeps its earlier maximum unless
+    a later slice's is strictly larger, which keeps the smallest index.
+    """
+    count = hi - lo + 1
+    end = np.cumsum(count)
+    total = int(end[-1])
+    if total <= _SLICE:
+        return _batch_maxima(g, m, lo, count)
+    best = np.full(len(m), -np.inf)
+    arg = np.zeros(len(m), dtype=np.int64)
+    for s in range(0, total, _SLICE):
+        e = min(s + _SLICE, total)
+        rows = slice(int(np.searchsorted(end, s, "right")),
+                     int(np.searchsorted(end, e - 1, "right")) + 1)
+        start = end[rows] - count[rows]
+        first = np.maximum(start, s)
+        top, at = _batch_maxima(g, m[rows], lo[rows] + (first - start),
+                                np.minimum(end[rows], e) - first)
+        win = top > best[rows]
+        np.copyto(best[rows], top, where=win)
+        np.copyto(arg[rows], at, where=win)
+    return best, arg
+
+
+def _batch_maxima(g, m, first, count):
+    """_row_maxima over first <= i < first + count, in one numpy batch."""
+    seg = np.cumsum(count) - count
+    i = np.repeat(first - seg, count)
+    i += np.arange(len(i))
+    mm = np.repeat(m, count)
+    t = (mm - i) / mm
+    t *= t
+    v = g[i]
+    v += t  # g[i] + t * t, in place to hold fewer candidate-sized arrays
+    del t
+    top = np.maximum.reduceat(v, seg)
+    # i < m, so m marks the candidates that miss their row's maximum
+    np.copyto(i, mm, where=v != np.repeat(top, count))
+    return top, np.minimum.reduceat(i, seg)
+
+
+def chain_certificate(table, d: int) -> PartitionCertificate:
+    """The optimal chain to d and its value, read from a gamma_table of at
+    least d + 1 entries by following the predecessors back to 1."""
+    g, pred = table
+    chain = [d]
+    while chain[-1] != 1:
+        chain.append(int(pred[chain[-1]]))
+    return PartitionCertificate(indices=tuple(reversed(chain)), value=float(g[d]))
 
 
 def gamma(d: int) -> PartitionCertificate:
     """Maximal partition sum from 1 to d with an optimal chain.
 
-    O(d log d) time, O(d) memory.
+    O(d log d) work in numpy batches, O(d) memory with bounded
+    temporaries (see gamma_table).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    g, pred = gamma_table(d)
-    chain = [d]
-    while chain[-1] != 1:
-        chain.append(int(pred[chain[-1]]))
-    return PartitionCertificate(indices=tuple(reversed(chain)), value=float(g[d]))
+    return chain_certificate(gamma_table(d), d)
 
 
 @lru_cache(maxsize=None)

@@ -155,7 +155,8 @@ def value_grad(kind: SmoothingKind, x) -> Evaluation:
     v = as_point(x)
     if v.size != kind.d:
         raise ValueError(f"point has d={v.size}, kind expects d={kind.d}")
-    value, grad = _point(kind, v)
+    with np.errstate(over="ignore"):  # see value_grad_many
+        value, grad = _point(kind, v)
     return Evaluation(value=float(value), gradient=grad)
 
 
@@ -167,17 +168,22 @@ def value_grad_many(kind: SmoothingKind, X):
     Rows are evaluated in blocks of _BLOCK_CELLS cells (one row at least),
     so the temporaries stay bounded; rows are independent, so the results
     are bitwise those of one batch.
+
+    Overflow is silent: Z / c for a tiny quadc weight and U * k inside the
+    simplex projection of huge rows overflow to -inf or inf, which are the
+    exact limits, and the projection's comparisons stay right with them.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != kind.d:
         raise ValueError(f"expected (n, {kind.d}) array, got {X.shape}")
     n, step = len(X), max(1, _BLOCK_CELLS // kind.d)
-    if n <= step:
-        return _rows(kind, X)
-    vals, grads = np.empty(n), np.empty(X.shape)
-    for start in range(0, n, step):
-        block = slice(start, start + step)
-        vals[block], grads[block] = _rows(kind, X[block])
+    with np.errstate(over="ignore"):
+        if n <= step:
+            return _rows(kind, X)
+        vals, grads = np.empty(n), np.empty(X.shape)
+        for start in range(0, n, step):
+            block = slice(start, start + step)
+            vals[block], grads[block] = _rows(kind, X[block])
     return vals, grads
 
 

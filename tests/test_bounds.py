@@ -1,8 +1,10 @@
 """Partition lower-bound tests: DP vs exhaustive oracle, exact rational
 DP cross-check, the transcendental constant, and the logarithmic sandwich."""
 
+import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -97,6 +99,22 @@ def table_1e6():
     return gamma_table(10**6)
 
 
+# sha256 of the bytes of gamma_table(10**6), taken from the earlier
+# queue-based DP.  The DP only adds, multiplies and divides floats and
+# integers below 2**53, so the digests hold on any IEEE 754 machine.
+TABLE_1E6_SHA256 = (
+    "256ed3a4ad6873417c94d5132866f816687c55c7f8d84e41b728be308cbb3c75",
+    "21df514ddd22178c63bdb912ca9c236419104722f2f4d01987f6c7fb2699d259",
+)
+
+# rows are filled in blocks [2^k + 1, 2^(k+1)]; the blocks up to 256 are
+# scanned directly and the later ones by divide and conquer
+BLOCK_EDGES = (64, 65, 126, 127, 128, 129, 130, 254, 255, 256, 257, 258,
+               512, 513)
+SEEDED_DIMS = sorted({int(d) for d in np.exp(np.random.default_rng(
+    20261020).uniform(math.log(10), math.log(10**6), 50))})
+
+
 class TestGamma:
     def test_base_case(self):
         cert = gamma(1)
@@ -174,13 +192,37 @@ class TestGamma:
             assert two_term_lower(d) <= val + 1e-15
             assert val <= 0.5 * math.log(d) + 1e-15
 
-    @pytest.mark.parametrize("d", [*range(1, 41), 777, 3000, 20_000])
+    @pytest.mark.parametrize("d", [*range(1, 41), *BLOCK_EDGES, 777, 3000,
+                                   20_000])
     def test_matches_full_rescan_bitwise(self, d):
         g, pred = gamma_table(d)
         ref_g, ref_pred = gamma_table_rescan(d)
         assert g.dtype == np.float64 and pred.dtype == np.int64
         assert np.array_equal(g, ref_g)
         assert np.array_equal(pred, ref_pred)
+
+    def test_table_1e6_matches_golden_digests(self, table_1e6):
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                        for a in table_1e6)
+        assert digests == TABLE_1E6_SHA256
+
+    @pytest.mark.parametrize("d", [*BLOCK_EDGES, *SEEDED_DIMS])
+    def test_table_is_a_prefix_of_a_larger_one(self, table_1e6, d):
+        g, pred = gamma_table(d)
+        assert np.array_equal(g, table_1e6[0][:d + 1])
+        assert np.array_equal(pred, table_1e6[1][:d + 1])
+
+    def test_memory_is_the_table_and_bounded_temporaries(self):
+        # at most the three (d + 1)-entry 8-byte buffers of the queue-based
+        # DP; the two returned arrays take two of them
+        d = 497963
+        tracemalloc.start()
+        try:
+            gamma_table(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * (d + 1)
 
     @pytest.mark.parametrize("m", [497963, 562704])
     def test_large_rows_match_rescan(self, table_1e6, m):

@@ -4,12 +4,14 @@ machine-readable formats."""
 import contextlib
 import csv
 import gc
+import hashlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from importlib import resources
 
@@ -18,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import maxsmooth
-from maxsmooth import regret
+from maxsmooth import bounds, regret
 from maxsmooth.cli import main
 from maxsmooth.smoothings import SmoothingKind
 
@@ -83,6 +85,24 @@ class TestGammaCommand:
         row = parse_csv(out)[0]
         assert float(row["gamma"]) == 5.338012116148873
         assert row["partition"].endswith("-36849-135460-497963")
+
+    def test_dims_share_one_table(self, capsys, monkeypatch):
+        built = []
+        table = bounds.gamma_table
+
+        def recording(d):
+            built.append(d)
+            return table(d)
+
+        monkeypatch.setattr(bounds, "gamma_table", recording)
+        dims = ["1000", "2", "5000", "1", "257"]
+        code, out, _ = run_cli(capsys, "gamma", "--dims", ",".join(dims))
+        assert code == 0 and built == [5000]
+        lines = out.splitlines(keepends=True)
+        for d, line in zip(dims, lines[1:]):
+            _, alone, _ = run_cli(capsys, "gamma", "--dims", d)
+            assert alone == lines[0] + line
+        assert built == [5000, *map(int, dims)]
 
     def test_sandwich_columns_contain_gamma(self, capsys):
         code, out, _ = run_cli(capsys, "gamma", "--dims", "100")
@@ -435,6 +455,24 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# -inf from an overflow is the exact limit in both commands, so their
+# verdicts stand and numpy has nothing to warn about
+@pytest.mark.parametrize("argv,digest", [
+    (("verify", "--kind", "quadc:1e-320", "--dim", "3"),
+     "381a64b4ac95505b48c216cf899beb1ebb60d9cd0baf6b8afe7ad75d83e20041"),
+    (("gap", "--kind", "quad", "--dim", "3", "--alpha-max", "1.7e308"),
+     hashlib.sha256(b"kind,d,gap_bound,empirical_estimate\n"
+                    b"quad(d=3),3,0.44444444444444442,0.444580078125\n"
+                    ).hexdigest()),
+], ids=["verify", "gap"])
+def test_overflow_to_the_exact_limit_warns_nothing(capsys, argv, digest):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # each request exceeds the address space, so its first large allocation
