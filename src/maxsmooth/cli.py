@@ -157,12 +157,9 @@ def cmd_regret(args) -> int:
 
     rows = []
     for seed in range(args.seed, args.seed + args.seeds):
-        # rebinding frees the previous trace only after the next game has
-        # played: freed first, malloc trims the heap and each game faults its
-        # ~100 MB of temporaries back in (15-20 % slower at d = 256, T = 1e4
-        # on a 2-vCPU VM)
         trace = regret.run_coinflip_game(args.dim, args.horizon, seed,
-                                         kind=kind, eta=args.eta)
+                                         kind=kind, eta=args.eta,
+                                         keep_rounds=False)
         if args.trace and seed == args.seed:
             trace.to_csv(args.trace)
         rows.append({"seed": seed, "regret": trace.final_regret,

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .smoothings import SmoothingKind, value_grad, value_grad_many
+from .smoothings import _BLOCK_CELLS, SmoothingKind, value_grad, value_grad_many
 
 
 def ftrl_weights(kind: SmoothingKind, cumulative_losses,
@@ -47,7 +47,8 @@ def regret_bound(kind: SmoothingKind, T: int) -> float:
 
 @dataclass
 class RegretTrace:
-    """Full record of one experts game."""
+    """Record of one experts game; losses and weights are None for a game
+    played with keep_rounds=False."""
 
     d: int
     T: int
@@ -78,7 +79,7 @@ class RegretTrace:
 
 
 def run_coinflip_game(d: int, T: int, seed: int, kind: SmoothingKind = None,
-                      eta: float = None) -> RegretTrace:
+                      eta: float = None, keep_rounds: bool = True) -> RegretTrace:
     """Experts game on i.i.d. fair coin flips.
 
     Each round every expert predicts an independent fair bit and the
@@ -86,7 +87,9 @@ def run_coinflip_game(d: int, T: int, seed: int, kind: SmoothingKind = None,
     learner plays the regularized leader of the cumulative losses and
     suffers the weighted loss.  Deterministic given the seed: the (T, d)
     prediction block is drawn first, then the T outcomes.  The default
-    kind is lse(d), the exponential-weights learner.
+    kind is lse(d), the exponential-weights learner.  Without keep_rounds
+    the trace holds no (T, d) array and the game's memory is the one-byte
+    predictions plus O(T) and bounded block temporaries.
     """
     if d < 2 or T < 1:
         raise ValueError("need d >= 2 and T >= 1")
@@ -97,18 +100,39 @@ def run_coinflip_game(d: int, T: int, seed: int, kind: SmoothingKind = None,
         eta = tuned_eta(kind, T)
     elif not 0.0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
-    # cumulative losses are at most T, so -eta * prefix cannot overflow
+    # cumulative losses are at most T, so -eta * L cannot overflow
     if not math.isfinite(eta * T):
         raise ValueError("eta * horizon must be finite")
+    # The loss stream ignores the learner, so the game runs in the row
+    # blocks of value_grad_many, each block's temporaries in cache.
+    step = max(1, _BLOCK_CELLS // d)
     rng = np.random.default_rng(seed)
-    preds = rng.integers(0, 2, size=(T, d))
+    # A fair bit takes one 32-bit word of the generator, so the blocks draw
+    # the stream of one (T, d) draw; each prediction is kept in one byte.
+    preds = np.empty((T, d), dtype=np.int8)
+    for start in range(0, T, step):
+        rows = preds[start:start + step]
+        rows[...] = rng.integers(0, 2, size=rows.shape, dtype=np.int32)
     outcomes = rng.integers(0, 2, size=(T, 1))
-    losses = (preds != outcomes).astype(np.float64)
-    # the loss stream ignores the learner, so the whole game vectorizes
-    prefix = np.vstack([np.zeros((1, d)), np.cumsum(losses, axis=0)])
-    weights = value_grad_many(kind, -eta * prefix[:-1])[1]
-    learner_cum = np.cumsum((weights * losses).sum(axis=1))
-    best_cum = prefix[1:].min(axis=1)
+    losses = weights = None
+    if keep_rounds:
+        losses, weights = np.empty((T, d)), np.empty((T, d))
+    played, best_cum = np.empty(T), np.empty(T)
+    # the cumulative losses are integers below 2^53, exact in any summation
+    # order, so the blocks equal one cumsum over the whole game
+    cum = np.zeros(d)  # losses of the rounds before the block
+    for start in range(0, T, step):
+        block = slice(start, start + step)
+        lost = (preds[block] != outcomes[block]).astype(np.float64)
+        after = np.cumsum(lost, axis=0)
+        after += cum
+        w = value_grad_many(kind, -eta * (after - lost))[1]
+        played[block] = (w * lost).sum(axis=1)
+        best_cum[block] = after.min(axis=1)
+        cum = after[-1]
+        if keep_rounds:
+            losses[block], weights[block] = lost, w
+    learner_cum = np.cumsum(played)
     return RegretTrace(d=d, T=T, seed=seed, eta=eta,
                        bound=regret_bound(kind, T), losses=losses,
                        weights=weights, learner_cum=learner_cum,

@@ -183,6 +183,25 @@ class TestCoinflipGame:
         assert trace.final_regret == pytest.approx(learner - cum.min(),
                                                    abs=1e-9)
 
+    def test_block_draws_are_one_draw(self):
+        # 255-row blocks of 257 experts and one-row blocks of 70001 experts
+        # each take an odd number of 32-bit words from the generator
+        for d, T in ((257, 600), (70_001, 3)):
+            rng = np.random.default_rng(4)
+            preds = rng.integers(0, 2, size=(T, d))
+            outcomes = rng.integers(0, 2, size=(T, 1))
+            trace = run_coinflip_game(d, T, seed=4)
+            np.testing.assert_array_equal(trace.losses, preds != outcomes)
+
+    def test_game_without_rounds_matches_full_trace(self):
+        for kind in (SmoothingKind.lse(257), SmoothingKind.quadratic(257)):
+            full = run_coinflip_game(257, 600, seed=9, kind=kind)
+            lean = run_coinflip_game(257, 600, seed=9, kind=kind,
+                                     keep_rounds=False)
+            assert lean.losses is None and lean.weights is None
+            assert lean.learner_cum.tobytes() == full.learner_cum.tobytes()
+            assert lean.best_cum.tobytes() == full.best_cum.tobytes()
+
     def test_losses_are_mistake_indicators(self):
         trace = run_coinflip_game(5, 100, seed=2)
         assert set(np.unique(trace.losses)) <= {0.0, 1.0}
@@ -211,18 +230,21 @@ class TestCoinflipGame:
         assert np.mean(regrets) > 0.4 * math.sqrt(T * math.log(d) / 2)
 
     def test_quadratic_game_memory_is_a_few_arrays(self):
-        # the weights come from value_grad_many's row blocks, so the peak
-        # is the game's own (T, d) arrays plus bounded block temporaries
+        # the game runs in value_grad_many's row blocks, so the peak is the
+        # losses, the weights and the one-byte predictions plus bounded
+        # block temporaries; without the rounds, less than half of one array
         d, T = 256, 10_000
         kind = SmoothingKind.quadratic(d)
         run_coinflip_game(d, 10, seed=0, kind=kind)  # warm caches
-        tracemalloc.start()
-        try:
-            run_coinflip_game(d, T, seed=1, kind=kind)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 8 * d * T
+        for keep_rounds, arrays in ((True, 3), (False, 0.5)):
+            tracemalloc.start()
+            try:
+                run_coinflip_game(d, T, seed=1, kind=kind,
+                                  keep_rounds=keep_rounds)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= arrays * 8 * d * T, keep_rounds
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
