@@ -379,21 +379,7 @@ def empirical_gap(kind: SmoothingKind, alpha_max: float,
 
 
 def _empirical_gap(kind, alpha_max, cfg, tol, sample):
-    estimate, witness, samples = _gap_scan(kind, alpha_max, sample)
-    bound = gap_bound(kind)
-    return CertReport(
-        name=f"empirical_gap[{kind.label()}]",
-        samples=samples,
-        worst_violation=estimate - bound,
-        witness=witness,
-        tolerance=tol,
-        seed=cfg.seed,
-        details={"estimate": estimate, "gap_bound": bound},
-    )
-
-
-def _gap_scan(kind: SmoothingKind, alpha_max: float, sample):
-    """(estimate, witness, samples) of the empirical_gap scan.
+    """The empirical_gap report on an evaluated sample.
 
     The origin, the 80 scales of each probe ray and the sample are scanned
     in that order, one ray per batch, so memory is O(80 d), not O(80 d^2).
@@ -418,7 +404,16 @@ def _gap_scan(kind: SmoothingKind, alpha_max: float, sample):
     best.append(worst(X, vals))
     # the first maximum of the whole scan, as one argmax over it would pick
     estimate, witness = best[int(np.argmax([dev for dev, _ in best]))]
-    return float(estimate), witness, 1 + 80 * d + len(X)
+    estimate, bound = float(estimate), gap_bound(kind)
+    return CertReport(
+        name=f"empirical_gap[{kind.label()}]",
+        samples=1 + 80 * d + len(X),
+        worst_violation=estimate - bound,
+        witness=witness,
+        tolerance=tol,
+        seed=cfg.seed,
+        details={"estimate": estimate, "gap_bound": bound},
+    )
 
 
 def check_gradient_structure(kind: SmoothingKind, j: int,

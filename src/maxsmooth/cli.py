@@ -125,9 +125,7 @@ def cmd_solve(args) -> int:
     kind = SmoothingKind.parse(args.kind, problem.d)
     trace = minimax.solve_smoothed(problem, args.eps, kind,
                                    budget_factor=args.budget_factor,
-                                   max_iter=args.max_iter)
-    if args.out:
-        trace.to_csv(args.out)
+                                   max_iter=args.max_iter, out=args.out)
     summary = {
         "problem": problem.name,
         "kind": kind.label(),
@@ -158,8 +156,7 @@ def cmd_regret(args) -> int:
     rows = []
     for seed in range(args.seed, args.seed + args.seeds):
         trace = regret.run_coinflip_game(args.dim, args.horizon, seed,
-                                         kind=kind, eta=args.eta,
-                                         keep_rounds=False)
+                                         kind=kind, eta=args.eta)
         if args.trace and seed == args.seed:
             trace.to_csv(args.trace)
         rows.append({"seed": seed, "regret": trace.final_regret,

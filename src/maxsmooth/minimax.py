@@ -4,9 +4,12 @@ The max is replaced by a scaled smoothing of the coordinate-wise max and
 the resulting smooth composite is minimized with a constant-step
 accelerated gradient method; a projection-free subgradient descent on the
 raw max objective serves as the baseline.  Problem instances load from a
-small JSON schema and solver traces export as CSV.
+small JSON schema.  A solve returns a summary; the smoothed solver writes
+its per-iteration rows to a CSV as they are produced, so its memory does
+not grow with the iteration count.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 import csv
 import json
@@ -97,30 +100,16 @@ class MaxOfSmoothProblem:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration history plus final iterate and oracle accounting."""
+    """Summary of one solve: iteration count, best objective seen, its
+    point, oracle accounting and stop reason.  It holds no per-iteration
+    history."""
 
-    rows: list = field(default_factory=list)  # (iter, obj, smooth, gnorm, best, calls)
+    iterations: int = 0
+    best_objective: float = math.inf
     final_point: np.ndarray = None
     oracle_calls: int = 0
     stop_reason: str = ""
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def best_objective(self) -> float:
-        return self.rows[-1][4] if self.rows else math.inf
-
-    @property
-    def iterations(self) -> int:
-        return len(self.rows)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iteration", "objective", "smoothed_objective",
-                        "grad_norm", "best_objective", "calls"])
-            for it, obj, sm, gn, best, calls in self.rows:
-                w.writerow([it, f"{obj:.17g}", f"{sm:.17g}", f"{gn:.17g}",
-                            f"{best:.17g}", calls])
 
 
 def composite_value_grad(p: MaxOfSmoothProblem, y, eps: float,
@@ -166,8 +155,8 @@ def smoothed_budget(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
 
 
 def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
-                   budget_factor: int = 4,
-                   max_iter: int = None) -> SolverTrace:
+                   budget_factor: int = 4, max_iter: int = None,
+                   out=None) -> SolverTrace:
     """Accelerated gradient descent on the smoothed composite.
 
     Starts from the problem's y0, or from the origin when it has none.
@@ -180,7 +169,9 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
     non-finite iterate, objective or smoothed value stops it as
     "diverged".  A quadratic kind with c below c_constant(d) is not
     1-smooth, so the step and the budget would have no guarantee: it
-    raises ValueError.
+    raises ValueError.  With out, once every argument has passed its
+    check, the trace CSV at that path gets its header and then one row per
+    iteration as the row is produced.
     """
     _check_eps(eps)
     if budget_factor < 1:
@@ -226,9 +217,14 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
     best = math.inf
     best_point = y0.copy()
     calls = 0
+    fh = open(out, "w", newline="") if out else None
     # a diverging solve overflows before it is stopped; its stop reason,
     # not a numpy warning per iteration, reports that
-    with np.errstate(over="ignore", invalid="ignore"):
+    with fh or nullcontext(), np.errstate(over="ignore", invalid="ignore"):
+        write = csv.writer(fh).writerow if fh else None
+        if write:
+            write(["iteration", "objective", "smoothed_objective",
+                   "grad_norm", "best_objective", "calls"])
         for k in range(1, cap + 1):
             vals, jac = p.eval_all(v)
             calls += 1
@@ -247,10 +243,12 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
             sv_x, _ = _point(kind, s * vals_x)
             smooth_x = (float(sv_x) - shift) / s
 
-            # the Euclidean norm as np.linalg.norm computes it for a 1-D
-            # real vector, without its dispatch
-            trace.rows.append((k, obj_x, smooth_x,
-                               math.sqrt(grad.dot(grad)), best, calls))
+            if write:
+                # the Euclidean norm as np.linalg.norm computes it for a
+                # 1-D real vector, without its dispatch
+                write([k, f"{obj_x:.17g}", f"{smooth_x:.17g}",
+                       f"{math.sqrt(grad.dot(grad)):.17g}", f"{best:.17g}",
+                       calls])
             if not (math.isfinite(obj_x) and math.isfinite(smooth_x)
                     and np.isfinite(x_new).all()):
                 trace.stop_reason = "diverged"
@@ -266,6 +264,7 @@ def solve_smoothed(p: MaxOfSmoothProblem, eps: float, kind: SmoothingKind,
         else:
             trace.stop_reason = cap_reason
 
+    trace.iterations, trace.best_objective = k, best
     trace.final_point = best_point
     trace.oracle_calls = calls
     return trace
@@ -285,28 +284,23 @@ def solve_subgradient(p: MaxOfSmoothProblem, iters: int,
     trace = SolverTrace(metadata={"method": "subgradient", "iters": iters})
     best = math.inf
     best_point = y.copy()
-    calls = 0
-    # affine components have constant gradients: their norms, computed as
-    # in the loop below, once per solve
-    norms = None if p._A is None else [math.sqrt(a.dot(a)) for a in p._A]
     for t in range(1, iters + 1):
         vals, jac = p.eval_all(y)
-        calls += 1
         i_star = int(vals.argmax())  # argmax returns the smallest index
         obj = float(vals[i_star])
         g = jac[i_star]
         if obj < best:
             best, best_point = obj, y.copy()
-        gnorm = math.sqrt(g.dot(g)) if norms is None else norms[i_star]
-        trace.rows.append((t, obj, math.nan, gnorm, best, calls))
         if target is not None and best <= target:
             trace.stop_reason = "target_reached"
             break
         y = y - (0.1 / math.sqrt(t)) * g
     else:
         trace.stop_reason = "max_iter"
+    # one oracle call per iteration
+    trace.iterations = trace.oracle_calls = t
+    trace.best_objective = best
     trace.final_point = best_point
-    trace.oracle_calls = calls
     return trace
 
 

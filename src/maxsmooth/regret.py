@@ -47,16 +47,15 @@ def regret_bound(kind: SmoothingKind, T: int) -> float:
 
 @dataclass
 class RegretTrace:
-    """Record of one experts game; losses and weights are None for a game
-    played with keep_rounds=False."""
+    """Summary of one experts game: its parameters and the per-round
+    cumulative losses of the learner and of the best expert so far.  It
+    holds no (T, d) array."""
 
     d: int
     T: int
     seed: int
     eta: float
     bound: float
-    losses: np.ndarray = field(repr=False)       # (T, d) 0/1 mistakes
-    weights: np.ndarray = field(repr=False)      # (T, d) plays
     learner_cum: np.ndarray = field(repr=False)  # (T,)
     best_cum: np.ndarray = field(repr=False)     # (T,) prefix best expert
 
@@ -79,7 +78,7 @@ class RegretTrace:
 
 
 def run_coinflip_game(d: int, T: int, seed: int, kind: SmoothingKind = None,
-                      eta: float = None, keep_rounds: bool = True) -> RegretTrace:
+                      eta: float = None) -> RegretTrace:
     """Experts game on i.i.d. fair coin flips.
 
     Each round every expert predicts an independent fair bit and the
@@ -87,9 +86,9 @@ def run_coinflip_game(d: int, T: int, seed: int, kind: SmoothingKind = None,
     learner plays the regularized leader of the cumulative losses and
     suffers the weighted loss.  Deterministic given the seed: the (T, d)
     prediction block is drawn first, then the T outcomes.  The default
-    kind is lse(d), the exponential-weights learner.  Without keep_rounds
-    the trace holds no (T, d) array and the game's memory is the one-byte
-    predictions plus O(T) and bounded block temporaries.
+    kind is lse(d), the exponential-weights learner.  The game's memory is
+    the one-byte predictions plus O(T) and bounded block temporaries; the
+    losses and weights of a round live only in its block.
     """
     if d < 2 or T < 1:
         raise ValueError("need d >= 2 and T >= 1")
@@ -114,9 +113,6 @@ def run_coinflip_game(d: int, T: int, seed: int, kind: SmoothingKind = None,
         rows = preds[start:start + step]
         rows[...] = rng.integers(0, 2, size=rows.shape, dtype=np.int32)
     outcomes = rng.integers(0, 2, size=(T, 1))
-    losses = weights = None
-    if keep_rounds:
-        losses, weights = np.empty((T, d)), np.empty((T, d))
     played, best_cum = np.empty(T), np.empty(T)
     # the cumulative losses are integers below 2^53, exact in any summation
     # order, so the blocks equal one cumsum over the whole game
@@ -130,10 +126,7 @@ def run_coinflip_game(d: int, T: int, seed: int, kind: SmoothingKind = None,
         played[block] = (w * lost).sum(axis=1)
         best_cum[block] = after.min(axis=1)
         cum = after[-1]
-        if keep_rounds:
-            losses[block], weights[block] = lost, w
     learner_cum = np.cumsum(played)
     return RegretTrace(d=d, T=T, seed=seed, eta=eta,
-                       bound=regret_bound(kind, T), losses=losses,
-                       weights=weights, learner_cum=learner_cum,
+                       bound=regret_bound(kind, T), learner_cum=learner_cum,
                        best_cum=best_cum)

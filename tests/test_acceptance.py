@@ -172,11 +172,19 @@ def test_criterion_8_regret_bound_and_duality():
             for seed in range(20):
                 trace = run_coinflip_game(d, T, seed=seed, kind=kind)
                 assert trace.final_regret <= bound, (d, kind.variant, seed)
-        # duality: entropy weights equal the lse gradient at -eta * losses
+        # duality: the exponential weights equal the lse gradient at
+        # -eta * losses, and the game plays them on its replayed losses
         trace = run_coinflip_game(d, 1000, seed=0, kind=SmoothingKind.lse(d))
-        prefix = np.vstack([np.zeros(d), np.cumsum(trace.losses, axis=0)[:-1]])
+        rng = np.random.default_rng(0)
+        preds = rng.integers(0, 2, size=(1000, d))
+        losses = (preds != rng.integers(0, 2, size=(1000, 1))).astype(float)
+        prefix = np.vstack([np.zeros(d), np.cumsum(losses, axis=0)[:-1]])
         _, grads = value_grad_many(SmoothingKind.lse(d), -trace.eta * prefix)
-        assert np.abs(grads - trace.weights).max() <= 1e-12
+        e = np.exp(-trace.eta * (prefix - prefix.min(axis=1, keepdims=True)))
+        assert np.abs(grads - e / e.sum(axis=1, keepdims=True)).max() <= 1e-12
+        played = np.cumsum((grads * losses).sum(axis=1))
+        assert np.abs(played - trace.learner_cum).max() <= 1e-9
+        assert (trace.best_cum == np.cumsum(losses, axis=0).min(axis=1)).all()
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
     report(8, f"regret <= sqrt(2 Range T) on 20 seeds at (d,T) in "

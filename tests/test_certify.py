@@ -489,11 +489,12 @@ class TestEmpiricalGap:
         kind = SmoothingKind.parse(text, d)
         cfg = SamplerConfig(seed=d, count=300, distribution="mixed")
         sample = certify._evaluated_sample(kind, cfg)
-        estimate, witness, samples = certify._gap_scan(kind, alpha_max, sample)
+        report = certify._empirical_gap(kind, alpha_max, cfg, 1e-9, sample)
         ref_estimate, ref_witness, ref_samples = gap_scan_one_batch(
             kind, alpha_max, sample[0])
-        assert estimate == ref_estimate and samples == ref_samples
-        np.testing.assert_array_equal(witness, ref_witness)
+        assert report.details["estimate"] == ref_estimate
+        assert report.samples == ref_samples
+        np.testing.assert_array_equal(report.witness, ref_witness)
 
 
 class TestGradientStructure:

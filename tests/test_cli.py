@@ -306,6 +306,18 @@ class TestSolveCommand:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("option,value", [("--kind", "quadc:1"),
+                                              ("--eps", "nan")])
+    def test_rejected_solve_creates_no_trace(self, capsys, tmp_path, option,
+                                             value):
+        # every argument check runs before the trace CSV is opened
+        trace = tmp_path / "trace.csv"
+        code, out, err = run_cli(capsys, "solve", "--problem",
+                                 instance_path("abs.json"), option, value,
+                                 "--max-iter", "5", "--out", str(trace))
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert not trace.exists()
+
     def test_kind_below_smoothness_threshold_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--problem",
                                  instance_path("abs.json"), "--kind",

@@ -1,9 +1,11 @@
 """Minimax solver tests: schema loading, composite correctness against
 finite differences and the epsilon/2 sandwich, accelerated convergence
-within its envelope, and the subgradient baseline."""
+within its envelope read from the streamed trace CSV, and the subgradient
+baseline."""
 
 import json
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -99,19 +101,33 @@ def batch_path_smoothed_rows(p, eps, kind, max_iter):
     return rows
 
 
-def batch_path_subgradient_rows(p, iters):
-    """Trace rows of the subgradient loop with np.argmax and
-    np.linalg.norm on every iteration."""
+def batch_path_subgradient(p, iters):
+    """(best objective, best point) of the subgradient loop with np.argmax
+    and a point kept at every strict improvement."""
     y = (p.y0 if p.y0 is not None else np.zeros(p.n)).copy()
-    best, rows = math.inf, []
+    best, best_point = math.inf, y.copy()
     for t in range(1, iters + 1):
         vals, jac = p.eval_all(y)
         i = int(np.argmax(vals))
-        best = min(best, float(vals[i]))
-        rows.append((t, float(vals[i]), math.nan,
-                     float(np.linalg.norm(jac[i])), best, t))
+        if vals[i] < best:
+            best, best_point = float(vals[i]), y.copy()
         y = y - (0.1 / math.sqrt(t)) * jac[i]
-    return rows
+    return best, best_point
+
+
+def solve_rows(tmp_path, *args, **kwargs):
+    """solve_smoothed with a trace CSV: (trace, rows as a float array)."""
+    path = tmp_path / "trace.csv"
+    trace = solve_smoothed(*args, out=path, **kwargs)
+    lines = path.read_text().splitlines()[1:]
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+    return trace, rows
+
+
+# two affine components with their max at |y| and no recorded optimum:
+# only max_iter stops a solve
+ABS_NO_OPTIMUM = {"n": 1, "L": 0.0, "M": 1.0, "y0": [1.0], "components": [
+    {"type": "affine", "a": [s], "b": 0.0} for s in (1.0, -1.0)]}
 
 
 def bundled(name):
@@ -342,10 +358,12 @@ class TestSolveSmoothed:
         assert trace.best_objective <= 1e-3
         assert abs(trace.final_point[0]) <= 1e-3
 
-    def test_best_sequence_nonincreasing(self, absprob):
-        trace = solve_smoothed(absprob, 1e-3, SmoothingKind.centered_lse(2))
-        best = [r[4] for r in trace.rows]
+    def test_best_sequence_nonincreasing(self, absprob, tmp_path):
+        trace, rows = solve_rows(tmp_path, absprob, 1e-3,
+                                 SmoothingKind.centered_lse(2))
+        best = rows[:, 4]
         assert np.all(np.diff(best) <= 0.0 + 1e-15)
+        assert best[-1] == trace.best_objective
 
     def test_budget_ratio_between_lse_and_centered(self, affine20):
         eps = 1e-3
@@ -355,16 +373,16 @@ class TestSolveSmoothed:
         assert b_lse / b_clse == pytest.approx(math.sqrt(2), rel=1e-3)
         assert b_clse < b_lse
 
-    def test_accelerated_envelope_on_composite(self, absprob):
+    def test_accelerated_envelope_on_composite(self, absprob, tmp_path):
         # F(x_k) - F* <= 2 L_F R^2 / (k+1)^2 for the smoothed objective
         kind = SmoothingKind.centered_lse(2)
         eps = 1e-3
-        trace = solve_smoothed(absprob, eps, kind, budget_factor=1,
-                               max_iter=400)
+        trace, rows = solve_rows(tmp_path, absprob, eps, kind,
+                                 budget_factor=1, max_iter=400)
         L_F = trace.metadata["L_F"]
         fstar, _ = composite_value_grad(absprob, np.zeros(1), eps, kind)
         R = 1.0  # bundled start is y0 = 1, minimizer at 0
-        for k, obj, smooth, gnorm, best, calls in trace.rows:
+        for k, smooth in rows[:, [0, 2]]:
             assert smooth - fstar <= 2 * L_F * R * R / (k + 1) ** 2 + 1e-9
 
     def test_oracle_calls_counted(self, absprob):
@@ -404,14 +422,34 @@ class TestSolveSmoothed:
 
     @pytest.mark.parametrize("problem", ["affine20", "quadratic"])
     @pytest.mark.parametrize("kindname", ["clse", "lse", "quad", "quadc:25"])
-    def test_trace_matches_batch_path(self, affine20, problem, kindname):
+    def test_trace_matches_batch_path(self, affine20, problem, kindname,
+                                      tmp_path):
+        # the CSV's 17 significant digits round-trip every float exactly
         p = affine20 if problem == "affine20" else quadratic_problem()
         kind = SmoothingKind.parse(kindname, p.d)
-        trace = solve_smoothed(p, 1e-3, kind, max_iter=200)
+        trace, rows = solve_rows(tmp_path, p, 1e-3, kind, max_iter=200)
         expected = batch_path_smoothed_rows(p, 1e-3, kind, 200)
         assert trace.iterations == len(expected)
-        np.testing.assert_array_equal(np.array(trace.rows),
-                                      np.array(expected))
+        np.testing.assert_array_equal(rows, np.array(expected))
+        assert trace.best_objective == expected[-1][4]
+        assert trace.oracle_calls == expected[-1][5]
+
+    def test_streamed_trace_memory_is_bounded(self, tmp_path):
+        # the rows go to the CSV as they are produced, so 1e5 iterations
+        # peak where 1e3 do
+        p = load_problem(ABS_NO_OPTIMUM)
+        kind = SmoothingKind.lse(2)
+        peaks = []
+        for max_iter in (1_000, 100_000):
+            tracemalloc.start()
+            try:
+                trace = solve_smoothed(p, 1e-3, kind, max_iter=max_iter,
+                                       out=tmp_path / "trace.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert trace.iterations == max_iter
+        assert peaks[1] <= peaks[0] + 64 * 1024, peaks
 
     def test_overflow_stops_as_diverged(self):
         trace = solve_smoothed(stiff_problem(), 1e-3,
@@ -422,10 +460,9 @@ class TestSolveSmoothed:
 
 class TestSolveSubgradient:
     def test_one_over_sqrt_decay_on_abs(self, absprob):
-        trace = solve_subgradient(absprob, 10_000)
-        best = [r[4] for r in trace.rows]
-        assert best[9999] <= best[99] / 5.0
-        assert np.all(np.diff(best) <= 1e-15)
+        short = solve_subgradient(absprob, 100)
+        long = solve_subgradient(absprob, 10_000)
+        assert long.best_objective <= short.best_objective / 5.0
 
     def test_single_component_is_plain_gradient_descent(self):
         a = np.array([1.0, 2.0])
@@ -436,17 +473,20 @@ class TestSolveSubgradient:
         for t in range(1, 51):
             y = y - (0.1 / math.sqrt(t)) * a
         # final point is recorded as best-so-far; replay the raw recursion
-        assert trace.rows[-1][0] == 50
+        assert trace.iterations == trace.oracle_calls == 50
         np.testing.assert_allclose(trace.final_point,
                                    y + (0.1 / math.sqrt(50)) * a, atol=1e-12)
 
     def test_smallest_index_tie_break(self):
-        comps = [AffineComponent(a=np.array([1.0]), b=0.0),
-                 AffineComponent(a=np.array([-1.0]), b=0.0)]
-        p = MaxOfSmoothProblem(components=comps, n=1, L=0.0, M=1.0)
-        trace = solve_subgradient(p, 1)
-        # at y = 0 both components are 0; index 0 wins, so the step is -a_0
-        assert trace.rows[0][1] == 0.0
+        a = [np.array([1.0, 0.5]), np.array([0.5, 1.0])]
+        p = MaxOfSmoothProblem(
+            components=[AffineComponent(a=v, b=0.0) for v in a],
+            n=2, L=0.0, M=float(np.linalg.norm(a[0])))
+        trace = solve_subgradient(p, 2)
+        # at y = 0 both components are 0; index 0 wins, so the step is
+        # -0.1 a_0, which lowers the max to -0.1 and becomes the best point
+        assert trace.best_objective == -0.1
+        np.testing.assert_array_equal(trace.final_point, -0.1 * a[0])
 
     def test_head_to_head_on_bundled_instance(self, affine20):
         eps = 1e-3
@@ -461,8 +501,10 @@ class TestSolveSubgradient:
     def test_trace_matches_batch_path(self, affine20, problem):
         p = affine20 if problem == "affine20" else quadratic_problem()
         trace = solve_subgradient(p, 300)
-        np.testing.assert_array_equal(np.array(trace.rows),
-                                      np.array(batch_path_subgradient_rows(p, 300)))
+        best, best_point = batch_path_subgradient(p, 300)
+        assert trace.iterations == trace.oracle_calls == 300
+        assert trace.best_objective == best
+        np.testing.assert_array_equal(trace.final_point, best_point)
 
     def test_rejects_bad_iters(self, absprob):
         with pytest.raises(ValueError):
@@ -471,12 +513,22 @@ class TestSolveSubgradient:
 
 class TestTraceCsv:
     def test_round_trip(self, absprob, tmp_path):
-        trace = solve_smoothed(absprob, 1e-3, SmoothingKind.centered_lse(2))
         path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().strip().splitlines()
+        trace = solve_smoothed(absprob, 1e-3, SmoothingKind.centered_lse(2),
+                               out=path)
+        text = path.read_bytes().decode()
+        assert text.endswith("\r\n")  # the csv module's default dialect
+        lines = text.splitlines()
         assert lines[0] == ("iteration,objective,smoothed_objective,"
                             "grad_norm,best_objective,calls")
         assert len(lines) == trace.iterations + 1
-        first = lines[1].split(",")
-        assert float(first[1]) == trace.rows[0][1]  # 17 digits round-trip
+        last = lines[-1].split(",")
+        assert int(last[0]) == trace.iterations
+        assert float(last[4]) == trace.best_objective  # 17 digits round-trip
+        assert int(last[5]) == trace.oracle_calls
+
+    def test_rejected_solve_writes_no_file(self, absprob, tmp_path):
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError):
+            solve_smoothed(absprob, math.nan, SmoothingKind.lse(2), out=path)
+        assert not path.exists()

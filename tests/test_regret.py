@@ -1,5 +1,5 @@
 """Regularized-leader tests: closed-form weights, the tuned bound, the
-coin-flip game recomputed from its own trace, and the duality with the
+coin-flip game against a round-by-round replay, and the duality with the
 log-sum-exp gradient."""
 
 import math
@@ -21,6 +21,33 @@ from maxsmooth.smoothings import SmoothingKind, c_constant, value_grad
 def is_simplex_point(w, tol):
     """True if w is nonnegative and sums to 1, both within tol."""
     return bool(np.all(w >= -tol) and abs(float(w.sum()) - 1.0) <= tol)
+
+
+def replay_game(trace, kind):
+    """The game of trace walked round by round: (losses, weights,
+    learner_cum, best_cum) from one (T, d) draw of the predictions, then
+    the outcomes, and ftrl_weights at each round's cumulative losses."""
+    d, T = trace.d, trace.T
+    rng = np.random.default_rng(trace.seed)
+    preds = rng.integers(0, 2, size=(T, d))
+    outcomes = rng.integers(0, 2, size=(T, 1))
+    losses = (preds != outcomes).astype(np.float64)
+    weights, played, best = np.empty((T, d)), np.empty(T), np.empty(T)
+    cum = np.zeros(d)
+    for t in range(T):
+        weights[t] = ftrl_weights(kind, cum, trace.eta)
+        played[t] = (weights[t] * losses[t]).sum()
+        cum += losses[t]
+        best[t] = cum.min()
+    return losses, weights, np.cumsum(played), best
+
+
+def assert_game_replays(trace, kind):
+    """The game equals its replay bitwise; returns the replay."""
+    replay = replay_game(trace, kind)
+    assert trace.learner_cum.tobytes() == replay[2].tobytes()
+    assert trace.best_cum.tobytes() == replay[3].tobytes()
+    return replay
 
 
 class TestKindRange:
@@ -67,12 +94,13 @@ class TestFtrlWeights:
         # a whole game at once: the leader projects the max-anchored rows
         # of -eta L / c, as the smoothing kernel does
         d = 37
-        trace = run_coinflip_game(d, 200, seed=4,
-                                  kind=SmoothingKind.quadratic(d))
-        L = np.vstack([np.zeros(d), np.cumsum(trace.losses, axis=0)[:-1]])
+        kind = SmoothingKind.quadratic(d)
+        trace = run_coinflip_game(d, 200, seed=4, kind=kind)
+        losses, weights, _, _ = assert_game_replays(trace, kind)
+        L = np.vstack([np.zeros(d), np.cumsum(losses, axis=0)[:-1]])
         Z = -trace.eta * L
         np.testing.assert_array_equal(
-            trace.weights,
+            weights,
             project_simplex_rows((Z - Z.max(axis=1, keepdims=True))
                                  / c_constant(d)))
 
@@ -81,9 +109,9 @@ class TestFtrlWeights:
     def test_quadratic_leader_at_huge_eta(self, d, T, eta):
         # -eta L / c is far beyond 1 / ulp, where an unanchored projection
         # loses the simplex; anchored, the leader follows the best expert
-        trace = run_coinflip_game(d, T, seed=0, kind=SmoothingKind.quadratic(d),
-                                  eta=eta)
-        for w in trace.weights:
+        kind = SmoothingKind.quadratic(d)
+        trace = run_coinflip_game(d, T, seed=0, kind=kind, eta=eta)
+        for w in assert_game_replays(trace, kind)[1]:
             assert is_simplex_point(w, tol=1e-12)
         assert abs(trace.final_regret) <= T
 
@@ -156,55 +184,54 @@ class TestCoinflipGame:
     def test_deterministic_given_seed(self):
         a = run_coinflip_game(4, 200, seed=7)
         b = run_coinflip_game(4, 200, seed=7)
-        np.testing.assert_array_equal(a.losses, b.losses)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        assert a.final_regret == b.final_regret
+        assert a.learner_cum.tobytes() == b.learner_cum.tobytes()
+        assert a.best_cum.tobytes() == b.best_cum.tobytes()
 
     def test_played_weights_in_simplex(self):
         for kind in (SmoothingKind.lse(3), SmoothingKind.quadratic(3)):
             trace = run_coinflip_game(3, 500, seed=3, kind=kind)
-            sums = trace.weights.sum(axis=1)
-            np.testing.assert_allclose(sums, 1.0, atol=1e-12)
-            assert trace.weights.min() >= -1e-12
+            weights = assert_game_replays(trace, kind)[1]
+            np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+            assert weights.min() >= -1e-12
 
     def test_trace_recomputes_from_losses(self):
-        """Independent replay: rebuild every quantity from the stored losses."""
+        """Independent replay: accumulate the learner's and the experts'
+        losses one round at a time, with a scalar running sum."""
         kind = SmoothingKind.lse(4)
         trace = run_coinflip_game(4, 300, seed=11, kind=kind)
+        losses, weights, _, _ = replay_game(trace, kind)
         cum = np.zeros(4)
         learner = 0.0
         for t in range(300):
-            w = ftrl_weights(kind, cum, trace.eta)
-            np.testing.assert_allclose(w, trace.weights[t], atol=1e-14)
-            learner += float(w @ trace.losses[t])
-            cum += trace.losses[t]
+            learner += float(weights[t] @ losses[t])
+            cum += losses[t]
             assert learner == pytest.approx(trace.learner_cum[t], abs=1e-9)
-            assert cum.min() == pytest.approx(trace.best_cum[t], abs=0)
+            assert cum.min() == trace.best_cum[t]
         assert trace.final_regret == pytest.approx(learner - cum.min(),
                                                    abs=1e-9)
 
     def test_block_draws_are_one_draw(self):
         # 255-row blocks of 257 experts and one-row blocks of 70001 experts
-        # each take an odd number of 32-bit words from the generator
+        # each take an odd number of 32-bit words from the generator; the
+        # replay draws the predictions as one (T, d) block
         for d, T in ((257, 600), (70_001, 3)):
-            rng = np.random.default_rng(4)
-            preds = rng.integers(0, 2, size=(T, d))
-            outcomes = rng.integers(0, 2, size=(T, 1))
             trace = run_coinflip_game(d, T, seed=4)
-            np.testing.assert_array_equal(trace.losses, preds != outcomes)
+            assert_game_replays(trace, SmoothingKind.lse(d))
 
-    def test_game_without_rounds_matches_full_trace(self):
-        for kind in (SmoothingKind.lse(257), SmoothingKind.quadratic(257)):
-            full = run_coinflip_game(257, 600, seed=9, kind=kind)
-            lean = run_coinflip_game(257, 600, seed=9, kind=kind,
-                                     keep_rounds=False)
-            assert lean.losses is None and lean.weights is None
-            assert lean.learner_cum.tobytes() == full.learner_cum.tobytes()
-            assert lean.best_cum.tobytes() == full.best_cum.tobytes()
+    @pytest.mark.parametrize("d", [2, 5, 37, 257])
+    @pytest.mark.parametrize("name", ["lse", "clse", "quad"])
+    def test_game_matches_round_by_round_replay(self, name, d):
+        kind = SmoothingKind.parse(name, d)
+        assert_game_replays(run_coinflip_game(d, 600, seed=9, kind=kind),
+                            kind)
 
     def test_losses_are_mistake_indicators(self):
+        # the best expert's cumulative loss moves by 0 or 1 a round, and
+        # the learner's by a weighted mean of 0/1 losses
         trace = run_coinflip_game(5, 100, seed=2)
-        assert set(np.unique(trace.losses)) <= {0.0, 1.0}
+        assert set(np.diff(trace.best_cum, prepend=0.0)) <= {0.0, 1.0}
+        played = np.diff(trace.learner_cum, prepend=0.0)
+        assert played.min() >= 0.0 and played.max() <= 1.0 + 1e-12
 
     def test_regret_below_bound_small_sample(self):
         for kind in (SmoothingKind.lse(2), SmoothingKind.quadratic(2),
@@ -214,12 +241,16 @@ class TestCoinflipGame:
                 assert trace.final_regret <= trace.bound
 
     def test_duality_with_lse_gradient(self):
-        trace = run_coinflip_game(8, 200, seed=5)
-        cum = np.vstack([np.zeros(8), np.cumsum(trace.losses, axis=0)[:-1]])
+        # the entropy leader's weights are the exponential weights, the
+        # softmax of -eta L, which is the lse gradient at -eta L
         kind = SmoothingKind.lse(8)
+        trace = run_coinflip_game(8, 200, seed=5)
+        losses = assert_game_replays(trace, kind)[0]
+        cum = np.vstack([np.zeros(8), np.cumsum(losses, axis=0)[:-1]])
         for t in (0, 10, 199):
+            e = np.exp(-trace.eta * (cum[t] - cum[t].min()))
             g = value_grad(kind, -trace.eta * cum[t]).gradient
-            assert np.abs(g - trace.weights[t]).max() <= 1e-12
+            assert np.abs(g - e / e.sum()).max() <= 1e-12
 
     def test_mean_regret_trends_toward_floor_at_large_d(self):
         # the best of many random experts beats the learner by roughly
@@ -231,20 +262,18 @@ class TestCoinflipGame:
 
     def test_quadratic_game_memory_is_a_few_arrays(self):
         # the game runs in value_grad_many's row blocks, so the peak is the
-        # losses, the weights and the one-byte predictions plus bounded
-        # block temporaries; without the rounds, less than half of one array
+        # one-byte predictions plus O(T) and bounded block temporaries:
+        # less than half of one (T, d) float array
         d, T = 256, 10_000
         kind = SmoothingKind.quadratic(d)
         run_coinflip_game(d, 10, seed=0, kind=kind)  # warm caches
-        for keep_rounds, arrays in ((True, 3), (False, 0.5)):
-            tracemalloc.start()
-            try:
-                run_coinflip_game(d, T, seed=1, kind=kind,
-                                  keep_rounds=keep_rounds)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= arrays * 8 * d * T, keep_rounds
+        tracemalloc.start()
+        try:
+            run_coinflip_game(d, T, seed=1, kind=kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 8 * d * T
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
