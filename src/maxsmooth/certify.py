@@ -10,7 +10,8 @@ The probe plan is fixed: the Q grid probes the rays alpha * x_j at
 alpha = 0.1, 1, 10, 100, the block-structure check at 0.5, 1, 10, 100,
 finite differences step by 1e-5 * (1 + ||x||_inf), and the smoothness and
 finite-difference reports hold to 1e-8 and 1e-6.  Only the sample (seed,
-count) and the tolerance of the other reports are chosen by the caller.
+count) and the tolerance of every report but these two are chosen by the
+caller.
 
 The sampled checks are private bodies that `run_certificate_suite` runs on
 one sample, drawn and evaluated once.  `empirical_gap` alone is also
@@ -34,11 +35,11 @@ import math
 
 import numpy as np
 
-from .bounds import gamma
 from .core import as_point, structured_point
 from .smoothings import (
     _BLOCK_CELLS,
     SmoothingKind,
+    deviation_interval,
     gap_bound,
     value_grad,
     value_grad_many,
@@ -351,7 +352,11 @@ def q_certificate_grid(kind: SmoothingKind, tol: float = 1e-9) -> CertReport:
 
 
 def _expectation(kind, delta, cfg, tol, sample):
-    """<grad f(x), x> >= sigma_max(x) - 2*delta on every sample."""
+    """<grad f(x), x> >= sigma_max(x) - 2*delta on every sample.
+
+    Convexity and the gap imply it: <grad f(x), x> >= f(x) - f(0) >=
+    sigma_max(x) - 2*delta.  So a failure here without an empirical_gap
+    failure means f is not convex."""
     X, _, G, _ = sample
     viol = X.max(axis=1) - 2.0 * delta
     for block in _blocks(*X.shape):
@@ -362,11 +367,14 @@ def _expectation(kind, delta, cfg, tol, sample):
 
 def empirical_gap(kind: SmoothingKind, alpha_max: float,
                   cfg: SamplerConfig, tol: float = 1e-9) -> CertReport:
-    """Lower estimate of sup |f - sigma_max| over probe rays and samples.
+    """f - sigma_max inside deviation_interval over probe rays and samples.
 
     Scans the origin, every scaled probe ray up to alpha_max, and the
-    configured random points.  The estimate is compared against
-    gap_bound, the exact max |f - sigma_max| of the kind.
+    configured random points.  The violation is how far f - sigma_max
+    leaves the kind's exact interval [lo, hi], so an overestimating kind
+    (lo = 0) that dips below the max fails as one that rises too far
+    above it does.  The estimate, a lower estimate of sup |f - sigma_max|,
+    is reported beside gap_bound, the exact max |f - sigma_max|.
     """
     if not 0.0 < alpha_max < math.inf:
         raise ValueError("alpha_max must be positive and finite")
@@ -386,6 +394,7 @@ def _empirical_gap(kind, alpha_max, cfg, tol, sample):
     """
     d = kind.d
     alphas = np.geomspace(1e-3, alpha_max, 80)
+    lo, hi = deviation_interval(kind)
 
     def rays():
         yield np.zeros((1, d))
@@ -395,21 +404,23 @@ def _empirical_gap(kind, alpha_max, cfg, tol, sample):
             yield P
 
     def worst(P, values):
-        dev = np.abs(values - P.max(axis=1))
-        k = int(np.argmax(dev))
-        return dev[k], P[k].copy()
+        dev = values - P.max(axis=1)
+        viol = np.maximum(lo - dev, dev - hi)
+        k = int(np.argmax(viol))
+        return viol[k], P[k].copy(), np.abs(dev).max()
 
     best = [worst(P, value_grad_many(kind, P)[0]) for P in rays()]
     X, vals = sample[:2]
     best.append(worst(X, vals))
+    viols, witnesses, devs = zip(*best)
     # the first maximum of the whole scan, as one argmax over it would pick
-    estimate, witness = best[int(np.argmax([dev for dev, _ in best]))]
-    estimate, bound = float(estimate), gap_bound(kind)
+    k = int(np.argmax(viols))
+    estimate, bound = float(np.max(devs)), gap_bound(kind)
     return CertReport(
         name=f"empirical_gap[{kind.label()}]",
         samples=1 + 80 * d + len(X),
-        worst_violation=estimate - bound,
-        witness=witness,
+        worst_violation=float(viols[k]),
+        witness=witnesses[k],
         tolerance=tol,
         seed=cfg.seed,
         details={"estimate": estimate, "gap_bound": bound},
@@ -485,42 +496,15 @@ def telescoping_sum(kind: SmoothingKind, indices, alpha: float) -> float:
                      for a, b in zip(grads, grads[1:])))
 
 
-def _telescoping(kind, cfg, alpha, gap_est):
-    """Partition-sum witness: the chain sum must not exceed the measured gap
-    gap_est, the empirical gap's estimate at the same alpha.
-
-    Any 1-smooth convex approximation obeys sum <= sup-deviation in the
-    large-alpha limit; at finite alpha the comparison carries a 10/alpha
-    budget (the block weights converge at rate 1/alpha).  The sum must
-    also come out near the maximal partition value itself.
-    """
-    cert = gamma(kind.d)
-    total = telescoping_sum(kind, cert.indices, alpha)
-    budget = 10.0 / alpha
-    worst = max(total - gap_est, cert.value - total)
-    return CertReport(
-        name=f"telescoping[{kind.label()}]",
-        samples=len(cert.indices),
-        worst_violation=float(worst),
-        witness=cert.indices,
-        tolerance=budget,
-        seed=cfg.seed,
-        details={"alpha": alpha, "finite_alpha_budget": budget,
-                 "chain_sum": total, "partition_value": cert.value,
-                 "gap_estimate": gap_est},
-    )
-
-
 def run_certificate_suite(kind: SmoothingKind, seed: int = 20250808,
                           count: int = 10_000, tol: float = 1e-9) -> list:
     """The full deterministic certificate battery for one smoothing kind.
 
-    The sampled checks share one draw and one evaluation of it, and the
-    telescoping check takes the empirical gap's estimate.  tol applies to
-    every report but three: smoothness uses 1e-8, the finite-difference
-    gradients 1e-6 and telescoping its 10/alpha budget.  tol must be
-    finite, since an infinite one would pass every check, and nonnegative,
-    since a negative one would fail every check.
+    The sampled checks share one draw and one evaluation of it.  tol
+    applies to every report but two: smoothness uses 1e-8 and the
+    finite-difference gradients 1e-6.  tol must be finite, since an
+    infinite one would pass every check, and nonnegative, since a negative
+    one would fail every check.
     """
     _check_tolerance("tol", tol)
     d = kind.d
@@ -534,7 +518,6 @@ def run_certificate_suite(kind: SmoothingKind, seed: int = 20250808,
         _empirical_gap(kind, 1e4, cfg, tol, sample),
         _permutation(kind, cfg, tol, sample),
     ]
-    reports.append(_telescoping(kind, cfg, 1e4, reports[4].details["estimate"]))
     rng = np.random.default_rng(seed + 2)
     for x in rng.standard_normal((3, d)):
         reports.append(check_gradient_fd(kind, x))

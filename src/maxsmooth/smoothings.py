@@ -33,6 +33,10 @@ _VARIANTS = (LSE, CENTERED_LSE, QUADRATIC, QUADRATIC_CUSTOM)
 # times this many float64s
 _BLOCK_CELLS = 1 << 16
 
+# lower clamp of x - max(x) in the quad kinds: on a finite row whose spread
+# overflows to -inf, the value would take a zero weight times -inf, a NaN
+_FLOAT_MAX = np.finfo(np.float64).max
+
 
 def c_constant(d: int) -> float:
     """Largest ||w||_1^2 / ||w||_2^2 over zero-sum w in R^d.
@@ -199,7 +203,7 @@ def _rows(kind, X):
         # max-anchoring: the projection and the translation rule are exact
         # under constant shifts, and at a large scale the unanchored rows
         # lose the simplex to rounding
-        Z = X - m[:, None]
+        Z = np.maximum(X - m[:, None], -_FLOAT_MAX)
         c = kind.regularizer_weight
         lam = project_simplex_rows(Z / c)
         vals = m + (lam * Z).sum(axis=1) \
@@ -223,7 +227,7 @@ def _point(kind, x):
     """
     m = x.max()
     if kind.is_quadratic:
-        z = x - m
+        z = np.maximum(x - m, -_FLOAT_MAX)
         c = kind.regularizer_weight
         lam = _project_simplex_point(z / c)
         value = m + (lam * z).sum() - 0.5 * c * ((lam * lam).sum() - 1.0)

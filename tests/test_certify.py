@@ -1,6 +1,6 @@
 """Certificate machinery tests: determinism, expected passes on certified
 kinds, the engineered failure below the threshold constant, kink-aware
-finite differences, and the telescoping witness."""
+finite differences, and the telescoping witness outside the suite."""
 
 from dataclasses import replace
 import json
@@ -26,6 +26,7 @@ from maxsmooth.certify import (
 from maxsmooth.core import structured_point
 from maxsmooth.smoothings import (
     SmoothingKind,
+    deviation_interval,
     gap_bound,
     value_grad,
     value_grad_many,
@@ -69,16 +70,20 @@ def q_grid_loop(kind, alphas=(0.1, 1.0, 10.0, 100.0)):
 
 def gap_scan_one_batch(kind, alpha_max, X):
     """Reference empirical_gap scan: every probe ray and the sample X in
-    one batch, the first maximum of |f - max| as the witness."""
+    one batch.  Returns the worst departure of f - max from
+    deviation_interval, its first maximum as the witness, sup |f - max|
+    and the point count."""
     d = kind.d
     alphas = np.geomspace(1e-3, alpha_max, 80)
     rays = np.zeros((1 + 80 * d, d))
     for j in range(1, d + 1):
         rays[1 + 80 * (j - 1):1 + 80 * j, :j] = (alphas / j)[:, None]
     P = np.vstack([rays, X])
-    dev = np.abs(value_grad_many(kind, P)[0] - P.max(axis=1))
-    k = int(np.argmax(dev))
-    return float(dev[k]), P[k], len(P)
+    dev = value_grad_many(kind, P)[0] - P.max(axis=1)
+    lo, hi = deviation_interval(kind)
+    viol = np.maximum(lo - dev, dev - hi)
+    k = int(np.argmax(viol))
+    return float(viol[k]), P[k], float(np.abs(dev).max()), len(P)
 
 
 def sample_rays_loop(d, n, rng):
@@ -490,8 +495,9 @@ class TestEmpiricalGap:
         cfg = SamplerConfig(seed=d, count=300, distribution="mixed")
         sample = certify._evaluated_sample(kind, cfg)
         report = certify._empirical_gap(kind, alpha_max, cfg, 1e-9, sample)
-        ref_estimate, ref_witness, ref_samples = gap_scan_one_batch(
-            kind, alpha_max, sample[0])
+        ref_worst, ref_witness, ref_estimate, ref_samples = \
+            gap_scan_one_batch(kind, alpha_max, sample[0])
+        assert report.worst_violation == ref_worst
         assert report.details["estimate"] == ref_estimate
         assert report.samples == ref_samples
         np.testing.assert_array_equal(report.witness, ref_witness)
@@ -554,6 +560,15 @@ class TestSuiteAndReports:
         reports = run_certificate_suite(SmoothingKind.lse(4), seed=7,
                                         count=1000)
         assert reports and all(r.passed for r in reports)
+
+    def test_report_families_in_order(self):
+        reports = run_certificate_suite(SmoothingKind.lse(3), seed=7,
+                                        count=100)
+        assert [r.name.split("[")[0] for r in reports] == [
+            "smoothness", "grad_in_simplex", "q_grid",
+            "expectation_guarantee", "empirical_gap",
+            "permutation_invariance"] + ["gradient_fd"] * 3 \
+            + ["gradient_structure"] * 3
 
     def test_degenerate_dimension_passes(self):
         reports = run_certificate_suite(SmoothingKind.lse(1), seed=7,

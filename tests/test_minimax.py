@@ -435,12 +435,12 @@ class TestSolveSmoothed:
         assert trace.oracle_calls == expected[-1][5]
 
     def test_streamed_trace_memory_is_bounded(self, tmp_path):
-        # the rows go to the CSV as they are produced, so 1e5 iterations
-        # peak where 1e3 do
+        # the rows go to the CSV as they are produced, so 1e4 iterations
+        # peak where 1e3 do; kept rows would cost about 232 B each
         p = load_problem(ABS_NO_OPTIMUM)
         kind = SmoothingKind.lse(2)
         peaks = []
-        for max_iter in (1_000, 100_000):
+        for max_iter in (1_000, 10_000):
             tracemalloc.start()
             try:
                 trace = solve_smoothed(p, 1e-3, kind, max_iter=max_iter,

@@ -168,6 +168,21 @@ class TestQuadraticSmoothing:
         # supremum of -(c/2)(||lam||^2 - 1) at uniform: (c/2)(1 - 1/3)
         assert ev.value == pytest.approx(0.5 * (1 - 1 / 3), abs=1e-15)
 
+    @pytest.mark.parametrize("kind", [
+        SmoothingKind.quadratic(2), SmoothingKind.quadratic(3),
+        SmoothingKind.quadratic_custom(3, 1e-3),
+        SmoothingKind.quadratic_custom(3, 1e3)], ids=lambda k: k.label())
+    def test_overflowing_spread_keeps_a_finite_value(self, kind):
+        # x - max(x) overflows to -inf on a finite row; the value is the
+        # max, as for lse, with no NaN and no numpy warning
+        x = np.zeros(kind.d)
+        x[:2] = 1e308, -1e308
+        ev = value_grad(kind, x)
+        vals, grads = value_grad_many(kind, x[None, :])
+        assert ev.value == vals[0] == 1e308
+        np.testing.assert_array_equal(ev.gradient, np.eye(kind.d)[0])
+        np.testing.assert_array_equal(grads[0], ev.gradient)
+
     def test_degenerate_single_dim_is_identity(self):
         kind = SmoothingKind.quadratic(1)
         for t in (-5.0, 0.0, 2.0):
